@@ -6,7 +6,8 @@
 #
 # The plain build additionally runs a profile smoke step: a memory-limited
 # (spilling) query with SSAGG_TRACE on, asserting that the emitted profile
-# saw real spill I/O and that the trace's spans are balanced per thread.
+# saw real spill I/O, that the trace's spans are balanced per thread, that
+# no event was dropped, and that the planner's decision is in the trace.
 #
 # The sanitizer build additionally re-runs the fault-injection sweeps on
 # their own: every injected I/O and allocation failure unwinds under
@@ -86,6 +87,11 @@ with open(trace_path) as f:
     trace = json.load(f)
 events = trace["traceEvents"]
 assert events, "trace is empty"
+# The traced run must fit the enlarged rings, and the planner's decision
+# must reach the trace.
+assert trace["droppedEvents"] == 0, f"trace lost {trace['droppedEvents']} events"
+assert any(e["name"] == "planner.strategy" for e in events), \
+    "planner.strategy missing from the trace"
 # Complete events (ph == "X") must be balanced: per thread, spans are
 # laminar — any two either nest or are disjoint (no partial overlap).
 by_tid = collections.defaultdict(list)

@@ -302,10 +302,15 @@ class Analyzer:
     def check_lines(self, path, text):
         rel = os.path.relpath(path, self.root)
         exempt = rel.endswith(os.path.join("common", "mutex.h"))
+        # The ledger benchmark is a separate CMake project that is frozen
+        # between benchmark revisions; its harness threads hold no library
+        # lock, so std primitives there cannot join the rank hierarchy.
+        raw_ok = exempt or rel.startswith(os.path.join("bench", "ledger") +
+                                          os.sep)
         lines = text.split("\n")
         for i, line in enumerate(lines, 1):
             code = line.split("//", 1)[0]
-            if not exempt and self.RAW_RE.search(code):
+            if not raw_ok and self.RAW_RE.search(code):
                 self.finding(path, i, "raw-primitive",
                              "raw std synchronization primitive; use "
                              "ssagg::Mutex / ScopedLock / CondVar "

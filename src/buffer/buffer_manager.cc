@@ -404,7 +404,7 @@ BufferManager::EvictBlocks(idx_t reuse_size, const GrantState *only_grant)
       oom_rejections_.fetch_add(1, std::memory_order_relaxed);
       MetricsRegistry::Global().Add(key_oom_rejections_, 1);
       record_selection();
-      TraceRecorder::Global().EmitInstant("oom_rejection", "bm");
+      TraceInstant("oom_rejection", "bm");
       SSAGG_LOG_INFO(
           "reservation rejected: memory limit %llu exceeded (%llu used) and "
           "no page can be evicted",

@@ -58,7 +58,6 @@ enum class LockRank : std::uint16_t {
 
   // --- Observability (leaf-most: callable from anywhere) -----------------
   kMetricsRegistry = 84,    // MetricsRegistry::lock_
-  kTraceRecorder = 85,      // TraceRecorder::lock_
   kQueryProgress = 86,      // QueryProgress::lock_
   kFlightRecorder = 87,     // FlightRecorder::lock_
   kLog = 90,                // log.cc log_lock

@@ -377,19 +377,15 @@ void AggregatePlanner::DecideLocked() {
   }
 
   decision_ = d;
-  auto &recorder = TraceRecorder::Global();
-  if (recorder.enabled()) {
-    // Instant markers: which strategy won and at what estimated size.
-    recorder.EmitInstant("planner.strategy", "agg",
-                         static_cast<idx_t>(d.strategy));
-    recorder.EmitInstant("planner.estimated_groups", "agg",
-                         d.estimated_groups);
-    recorder.EmitInstant(
-        "planner.sampling_us", "agg",
-        static_cast<idx_t>(sampling_seconds_ * 1e6));
-    if (d.direct_index) {
-      recorder.EmitInstant("planner.direct_range", "agg", d.direct_range);
-    }
+  // Instant markers: which strategy won and at what estimated size. They
+  // always reach the flight recorder, so a demotion dump shows the decision
+  // it abandons.
+  TraceInstant("planner.strategy", "agg", static_cast<idx_t>(d.strategy));
+  TraceInstant("planner.estimated_groups", "agg", d.estimated_groups);
+  TraceInstant("planner.sampling_us", "agg",
+               static_cast<idx_t>(sampling_seconds_ * 1e6));
+  if (d.direct_index) {
+    TraceInstant("planner.direct_range", "agg", d.direct_range);
   }
   decided_.store(true, std::memory_order_release);
   sampling_done_.store(true, std::memory_order_release);

@@ -549,7 +549,7 @@ void GroupedAggregateHashTable::Stats::Merge(const Stats &other) {
 }
 
 void GroupedAggregateHashTable::ClearPointerTable() {
-  TraceRecorder::Global().EmitInstant("ht.reset", "agg", count_);
+  TraceInstant("ht.reset", "agg", count_);
   std::memset(entries_alloc_.data(), 0, capacity_ * 8);
   count_ = 0;
   stats_.resets++;

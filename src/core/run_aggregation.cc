@@ -1,6 +1,7 @@
 #include "core/run_aggregation.h"
 
 #include <chrono>
+#include <optional>
 
 #include "buffer/memory_grant.h"
 #include "observe/flight_recorder.h"
@@ -83,8 +84,12 @@ Result<HashAggregateStats> RunGroupedAggregation(
     agg->SetProgress(progress);
   }
   // Per-query attribution against the cumulative process-wide registry and
-  // executor counters: snapshot before, subtract after.
-  RegistryDelta delta;
+  // executor counters: snapshot before, subtract after. The registry
+  // snapshot merges every shard, so it is taken only for a profile.
+  std::optional<RegistryDelta> delta;
+  if (profile != nullptr) {
+    delta.emplace();
+  }
   ExecutorStats exec_before = executor.stats();
   static const idx_t query_latency_hist =
       MetricsRegistry::Global().HistogramId("query.latency_ns");
@@ -122,9 +127,7 @@ Result<HashAggregateStats> RunGroupedAggregation(
     // Black-box dump: preserve the last trace events leading up to the
     // failure (no-op unless SSAGG_FLIGHT_DUMP is configured).
     (void)FlightRecorder::Global().DumpAnomaly("query_error");
-    if (TraceRecorder::Global().enabled()) {
-      (void)TraceRecorder::Global().Flush();
-    }
+    (void)FlightRecorder::Global().FlushTrace();
     return status;
   }
   HashAggregateStats stats = agg->stats();
@@ -138,7 +141,7 @@ Result<HashAggregateStats> RunGroupedAggregation(
     profile->phase2_seconds += stats.phase2_seconds;
     profile->total_seconds += std::chrono::duration<double>(t2 - t0).count();
     AddAggregateStats(stats, *profile);
-    delta.AddTo(*profile);
+    delta->AddTo(*profile);
 
     ExecutorStats exec = executor.stats();
     profile->AddTiming("exec.worker_seconds",
@@ -159,10 +162,9 @@ Result<HashAggregateStats> RunGroupedAggregation(
   if (progress != nullptr) {
     progress->Finish(/*ok=*/true);
   }
-  // Make partial traces useful: persist what we have after every query.
-  if (TraceRecorder::Global().enabled()) {
-    (void)TraceRecorder::Global().Flush();
-  }
+  // Make partial traces useful: persist what we have after every query
+  // (no-op unless SSAGG_TRACE is set).
+  (void)FlightRecorder::Global().FlushTrace();
   return stats;
 }
 

@@ -48,14 +48,7 @@ uint64_t HistogramSnapshot::Percentile(double q) const {
   return max;
 }
 
-namespace {
-std::atomic<uint64_t> next_registry_id{1};
-}  // namespace
-
-MetricsRegistry::MetricsRegistry()
-    : registry_id_(next_registry_id.fetch_add(1, std::memory_order_relaxed)) {
-  keys_.reserve(64);
-}
+MetricsRegistry::MetricsRegistry() { keys_.reserve(64); }
 
 MetricsRegistry &MetricsRegistry::Global() {
   // Leaked intentionally: instrumented subsystems may record during static
@@ -75,32 +68,6 @@ idx_t MetricsRegistry::KeyId(const std::string &key) {
   keys_.push_back(key);
   key_ids_.emplace(key, id);
   return id;
-}
-
-MetricsRegistry::Shard &MetricsRegistry::LocalShard() {
-  // One-entry inline cache in front of the per-thread map: repeated Adds to
-  // the same registry (the common case — Global()) skip the hash lookup.
-  struct LastUsed {
-    uint64_t registry_id = 0;
-    Shard *shard = nullptr;
-  };
-  thread_local LastUsed last;
-  thread_local std::unordered_map<uint64_t, Shard *> shard_by_registry;
-  if (last.registry_id == registry_id_) {
-    return *last.shard;
-  }
-  auto it = shard_by_registry.find(registry_id_);
-  if (it == shard_by_registry.end()) {
-    auto shard = std::make_unique<Shard>();
-    Shard *raw = shard.get();
-    {
-      ScopedLock guard(lock_);
-      shards_.push_back(std::move(shard));
-    }
-    it = shard_by_registry.emplace(registry_id_, raw).first;
-  }
-  last = LastUsed{registry_id_, it->second};
-  return *it->second;
 }
 
 idx_t MetricsRegistry::HistogramId(const std::string &key) {
@@ -127,10 +94,10 @@ MetricsRegistry::HistogramShard *MetricsRegistry::AllocateHistogramShard(
 
 HistogramSnapshot MetricsRegistry::MergedHistogramLocked(idx_t hist_id) const {
   HistogramSnapshot merged;
-  for (const auto &shard : shards_) {
-    HistogramShard *h = shard->histograms.load(std::memory_order_acquire);
+  shards_.ForEach(lock_, [&](Shard &shard) {
+    HistogramShard *h = shard.histograms.load(std::memory_order_acquire);
     if (h == nullptr) {
-      continue;
+      return;
     }
     HistogramSnapshot part;
     for (idx_t b = 0; b < HistogramSnapshot::kBuckets; b++) {
@@ -140,7 +107,7 @@ HistogramSnapshot MetricsRegistry::MergedHistogramLocked(idx_t hist_id) const {
     part.sum = h->sums[hist_id].load(std::memory_order_relaxed);
     part.max = h->maxes[hist_id].load(std::memory_order_relaxed);
     merged.Merge(part);
-  }
+  });
   return merged;
 }
 
@@ -229,48 +196,57 @@ uint64_t MetricsRegistry::Value(const std::string &key) const {
     return 0;
   }
   uint64_t sum = 0;
-  for (const auto &shard : shards_) {
-    sum += shard->values[it->second].load(std::memory_order_relaxed);
-  }
+  shards_.ForEach(lock_, [&](Shard &shard) {
+    sum += shard.values[it->second].load(std::memory_order_relaxed);
+  });
   return sum;
 }
 
 std::map<std::string, uint64_t> MetricsRegistry::Snapshot() const {
   ScopedLock guard(lock_);
+  std::vector<uint64_t> sums(keys_.size(), 0);
+  shards_.ForEach(lock_, [&](Shard &shard) {
+    for (idx_t id = 0; id < sums.size(); id++) {
+      sums[id] += shard.values[id].load(std::memory_order_relaxed);
+    }
+  });
   std::map<std::string, uint64_t> result;
   for (idx_t id = 0; id < keys_.size(); id++) {
-    uint64_t sum = 0;
-    for (const auto &shard : shards_) {
-      sum += shard->values[id].load(std::memory_order_relaxed);
-    }
-    result[keys_[id]] = sum;
+    result[keys_[id]] = sums[id];
   }
   return result;
 }
 
 void MetricsRegistry::Reset() {
   ScopedLock guard(lock_);
-  for (const auto &shard : shards_) {
-    for (idx_t id = 0; id < keys_.size(); id++) {
-      shard->values[id].store(0, std::memory_order_relaxed);
+  const idx_t keys = keys_.size();
+  const idx_t hists = hist_keys_.size();
+  shards_.ForEach(lock_, [&](Shard &shard) {
+    for (idx_t id = 0; id < keys; id++) {
+      shard.values[id].store(0, std::memory_order_relaxed);
     }
-    HistogramShard *h = shard->histograms.load(std::memory_order_acquire);
+    HistogramShard *h = shard.histograms.load(std::memory_order_acquire);
     if (h == nullptr) {
-      continue;
+      return;
     }
-    for (idx_t id = 0; id < hist_keys_.size(); id++) {
+    for (idx_t id = 0; id < hists; id++) {
       for (idx_t b = 0; b < HistogramSnapshot::kBuckets; b++) {
         h->counts[id][b].store(0, std::memory_order_relaxed);
       }
       h->sums[id].store(0, std::memory_order_relaxed);
       h->maxes[id].store(0, std::memory_order_relaxed);
     }
-  }
+  });
 }
 
 idx_t MetricsRegistry::KeyCount() const {
   ScopedLock guard(lock_);
   return keys_.size();
+}
+
+idx_t MetricsRegistry::ShardCount() const {
+  ScopedLock guard(lock_);
+  return shards_.Count(lock_);
 }
 
 }  // namespace ssagg

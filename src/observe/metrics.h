@@ -5,7 +5,6 @@
 #include <atomic>
 #include <chrono>
 #include <map>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -13,6 +12,7 @@
 #include "common/constants.h"
 #include "common/mutex.h"
 #include "common/status.h"
+#include "observe/thread_slots.h"
 
 namespace ssagg {
 
@@ -97,10 +97,10 @@ struct HistogramSnapshot {
 /// touch only the calling thread's shard — a plain array slot written with
 /// relaxed atomics, so the hot path takes no lock and shares no cache line
 /// with other threads. Snapshot() walks all shards under the registry lock
-/// and sums per key, which is exact: shards are never removed (a shard
-/// outlives its thread so counts from joined workers are retained — the
-/// task executor spawns fresh threads per pipeline, and their counts must
-/// not vanish with them).
+/// and sums per key, which is exact: shards come from a ThreadSlots pool,
+/// so a joined worker's shard keeps its counts and passes to the next new
+/// thread (the task executor spawns fresh threads per pipeline, and their
+/// counts must not vanish with them, nor their shards pile up).
 ///
 /// Timers are counters holding nanoseconds; see ScopedTimerNs.
 ///
@@ -132,7 +132,8 @@ class MetricsRegistry {
   /// Lock-free: bumps the calling thread's shard slot.
   void Add(idx_t key_id, uint64_t delta) {
     SSAGG_DASSERT(key_id < kMaxKeys);
-    LocalShard().values[key_id].fetch_add(delta, std::memory_order_relaxed);
+    shards_.Local(lock_).values[key_id].fetch_add(delta,
+                                                   std::memory_order_relaxed);
   }
   /// Convenience slow path: resolves the key every call.
   void Add(const std::string &key, uint64_t delta) { Add(KeyId(key), delta); }
@@ -154,7 +155,7 @@ class MetricsRegistry {
   /// owned by this thread, merged exactly on read.
   void Record(idx_t hist_id, uint64_t value) {
     SSAGG_DASSERT(hist_id < kMaxHistograms);
-    Shard &shard = LocalShard();
+    Shard &shard = shards_.Local(lock_);
     HistogramShard *h = shard.histograms.load(std::memory_order_acquire);
     if (h == nullptr) {
       h = AllocateHistogramShard(shard);
@@ -192,6 +193,8 @@ class MetricsRegistry {
   void Reset();
 
   [[nodiscard]] idx_t KeyCount() const;
+  /// Shards allocated so far: at most the peak number of live threads.
+  [[nodiscard]] idx_t ShardCount() const;
 
  private:
   struct HistogramShard {
@@ -224,7 +227,6 @@ class MetricsRegistry {
     ~Shard() { delete histograms.load(std::memory_order_acquire); }
   };
 
-  Shard &LocalShard();
   /// Slow path of Record: allocates the calling thread's histogram block.
   /// Only the shard-owning thread writes `histograms`, so a plain release
   /// store publishes it.
@@ -232,23 +234,17 @@ class MetricsRegistry {
   HistogramSnapshot MergedHistogramLocked(idx_t hist_id) const
       SSAGG_REQUIRES(lock_);
 
-  /// Distinguishes registries in the thread-local shard cache; never
-  /// reused, so a destroyed registry's cache entries go permanently stale
-  /// instead of aliasing a new instance.
-  const uint64_t registry_id_;
-
-  /// Protects key registration and the shard list. The hot path (Add) is
-  /// annotation-exempt by construction: it touches only the calling
-  /// thread's shard through relaxed atomics (see DESIGN.md section 9), and
-  /// a Shard pointer, once published in shards_, is stable until the
-  /// registry dies.
+  /// Protects key registration and the shard pool's slow path. The hot
+  /// path (Add) is annotation-exempt by construction: it touches only the
+  /// calling thread's shard through relaxed atomics (see DESIGN.md
+  /// section 9), and a shard, once handed out, lives as long as the pool.
   mutable Mutex lock_{LockRank::kMetricsRegistry, "MetricsRegistry::lock_"};
   std::vector<std::string> keys_ SSAGG_GUARDED_BY(lock_);   // id -> key
   std::unordered_map<std::string, idx_t> key_ids_
       SSAGG_GUARDED_BY(lock_);                              // key -> id
   std::vector<std::string> hist_keys_ SSAGG_GUARDED_BY(lock_);
   std::unordered_map<std::string, idx_t> hist_key_ids_ SSAGG_GUARDED_BY(lock_);
-  std::vector<std::unique_ptr<Shard>> shards_ SSAGG_GUARDED_BY(lock_);
+  ThreadSlots<Shard> shards_;
 };
 
 /// Adds the elapsed wall-clock nanoseconds to a registry counter when it

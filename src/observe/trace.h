@@ -1,113 +1,36 @@
 #ifndef SSAGG_OBSERVE_TRACE_H_
 #define SSAGG_OBSERVE_TRACE_H_
 
-#include <atomic>
-#include <chrono>
-#include <string>
-#include <vector>
-
 #include "common/constants.h"
-#include "common/mutex.h"
-#include "common/status.h"
 #include "observe/flight_recorder.h"
-#include "observe/json.h"
 
 namespace ssagg {
 
-/// Records timeline events in the Chrome trace-event JSON format, loadable
-/// in chrome://tracing and Perfetto. Disabled it costs one relaxed atomic
-/// load per would-be span; enabled it buffers fixed-size events (no
-/// allocation per event beyond vector growth) under a mutex — spans are
+/// Emit helpers over FlightRecorder::Global(), the one event recorder: one
+/// enabled check and, when on, one ring append. Events use the Chrome
+/// trace-event schema (loadable in chrome://tracing and Perfetto) and are
 /// emitted at morsel/phase/spill granularity, never from per-row loops.
-///
-/// Zero-code-change switch: setting SSAGG_TRACE=<path> in the environment
-/// enables the global recorder at first use and flushes the file at
-/// process exit (and whenever Flush() is called explicitly, e.g. after
-/// each RunGroupedAggregation).
-///
-/// Span names and categories must be string literals (or otherwise outlive
-/// the recorder): events store the pointers.
-///
-/// Every Emit* also feeds the always-on FlightRecorder (when that is
-/// enabled), so the last ~64k events stay recoverable even with file
-/// tracing off — see observe/flight_recorder.h.
-class TraceRecorder {
- public:
-  TraceRecorder();
+/// Names and categories must be string literals (the rings store the
+/// pointers). SSAGG_TRACE=<path> additionally writes the rings to a file;
+/// see observe/flight_recorder.h.
 
-  TraceRecorder(const TraceRecorder &) = delete;
-  TraceRecorder &operator=(const TraceRecorder &) = delete;
-
-  /// The recorder instrumented code emits into. Reads SSAGG_TRACE once.
-  static TraceRecorder &Global();
-
-  /// Starts recording; Flush() and process exit write to `path` (empty:
-  /// buffer only, fetch with ToJson — used by tests).
-  void Enable(std::string path);
-  void Disable();
-  [[nodiscard]] bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-
-  /// Microseconds since the recorder was constructed.
-  [[nodiscard]] uint64_t NowMicros() const;
-
-  /// Complete event (ph "X"): a span of `dur_us` starting at `ts_us` on the
-  /// calling thread's track. `arg` lands in the event's args as "v" when
-  /// not kInvalidIndex.
-  void EmitSpan(const char *name, const char *category, uint64_t ts_us,
-                uint64_t dur_us, idx_t arg = kInvalidIndex);
-  /// Instant event (ph "i"): a point occurrence (HT reset, eviction, ...).
-  void EmitInstant(const char *name, const char *category,
-                   idx_t arg = kInvalidIndex);
-  /// Counter event (ph "C"): plots `value` over time under `name`.
-  void EmitCounter(const char *name, uint64_t value);
-
-  /// The buffered events as a Chrome-trace JSON document.
-  [[nodiscard]] Json ToJson() const;
-  /// Writes the buffered events to `path` (from Enable). No-op when
-  /// recording to a buffer only.
-  Status Flush() const;
-  void Clear();
-  [[nodiscard]] idx_t EventCount() const;
-
- private:
-  struct Event {
-    const char *name;
-    const char *category;
-    char phase;      // 'X', 'i', 'C'
-    uint32_t tid;
-    uint64_t ts_us;
-    uint64_t dur_us;  // 'X' only
-    idx_t arg;        // kInvalidIndex: absent; 'C': the counter value
-  };
-
-  uint32_t CurrentTid();
-  void Push(Event event);
-
-  std::atomic<bool> enabled_{false};
-  std::chrono::steady_clock::time_point epoch_;
-  mutable Mutex lock_{LockRank::kTraceRecorder, "TraceRecorder::lock_"};
-  std::string path_ SSAGG_GUARDED_BY(lock_);
-  std::vector<Event> events_ SSAGG_GUARDED_BY(lock_);
-  uint32_t next_tid_ SSAGG_GUARDED_BY(lock_) = 1;
-};
-
-/// RAII span: records a complete event over its lifetime when the global
-/// recorder or the flight recorder is enabled; two relaxed loads otherwise.
-/// EmitSpan routes the event to whichever sinks are on.
+/// RAII span: records a complete event (ph "X") over its lifetime on the
+/// calling thread's track. `arg` lands in the event's args as "v" when not
+/// kInvalidIndex.
 class TraceSpan {
  public:
   TraceSpan(const char *name, const char *category, idx_t arg = kInvalidIndex)
       : name_(name), category_(category), arg_(arg) {
-    TraceRecorder &recorder = TraceRecorder::Global();
-    if (recorder.enabled() || FlightRecorder::Global().enabled()) {
+    FlightRecorder &recorder = FlightRecorder::Global();
+    if (recorder.enabled()) {
       recorder_ = &recorder;
       start_us_ = recorder.NowMicros();
     }
   }
   ~TraceSpan() {
     if (recorder_ != nullptr) {
-      recorder_->EmitSpan(name_, category_, start_us_,
-                          recorder_->NowMicros() - start_us_, arg_);
+      recorder_->Record(name_, category_, 'X', start_us_,
+                        recorder_->NowMicros() - start_us_, arg_);
     }
   }
 
@@ -118,9 +41,26 @@ class TraceSpan {
   const char *name_;
   const char *category_;
   idx_t arg_;
-  TraceRecorder *recorder_ = nullptr;
+  FlightRecorder *recorder_ = nullptr;
   uint64_t start_us_ = 0;
 };
+
+/// Instant event (ph "i"): a point occurrence (HT reset, eviction, ...).
+inline void TraceInstant(const char *name, const char *category,
+                         idx_t arg = kInvalidIndex) {
+  FlightRecorder &recorder = FlightRecorder::Global();
+  if (recorder.enabled()) {
+    recorder.Record(name, category, 'i', recorder.NowMicros(), 0, arg);
+  }
+}
+
+/// Counter event (ph "C"): plots `value` over time under `name`.
+inline void TraceCounter(const char *name, uint64_t value) {
+  FlightRecorder &recorder = FlightRecorder::Global();
+  if (recorder.enabled()) {
+    recorder.Record(name, "counter", 'C', recorder.NowMicros(), 0, value);
+  }
+}
 
 }  // namespace ssagg
 

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -189,16 +190,15 @@ void CheckLaminarNesting(const std::vector<SpanEvent> &spans) {
   }
 }
 
-TEST(TraceRecorderTest, RoundTripsWithWellFormedNesting) {
-  TraceRecorder &recorder = TraceRecorder::Global();
+TEST(TraceTest, RoundTripsWithWellFormedNesting) {
+  FlightRecorder &recorder = FlightRecorder::Global();
   recorder.Clear();
-  recorder.Enable("");  // buffer only
 
   {
     TraceSpan outer("outer", "test", 1);
     {
       TraceSpan inner("inner", "test");
-      recorder.EmitInstant("tick", "test", 7);
+      TraceInstant("tick", "test", 7);
     }
     TraceSpan sibling("sibling", "test");
   }
@@ -207,14 +207,14 @@ TEST(TraceRecorderTest, RoundTripsWithWellFormedNesting) {
     TraceSpan inner("thread_inner", "test");
   });
   worker.join();
-  recorder.EmitCounter("cnt", 42);
-  recorder.Disable();
-  ASSERT_GE(recorder.EventCount(), 6u);
+  TraceCounter("cnt", 42);
+  ASSERT_GE(recorder.EventCount(), 7u);
 
   // Round trip: everything the recorder dumps must parse back.
   auto parsed = Json::Parse(recorder.ToJson().Dump(1));
   recorder.Clear();
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed.value().Find("droppedEvents")->AsUint(), 0u);
   const Json *events = parsed.value().Find("traceEvents");
   ASSERT_TRUE(events != nullptr && events->IsArray());
 
@@ -259,15 +259,17 @@ TEST(TraceRecorderTest, RoundTripsWithWellFormedNesting) {
   EXPECT_EQ(tids.size(), 2u);
 }
 
-TEST(TraceRecorderTest, DisabledRecorderStaysSilent) {
-  TraceRecorder &recorder = TraceRecorder::Global();
-  recorder.Disable();
+TEST(TraceTest, DisabledRecorderStaysSilent) {
+  FlightRecorder &recorder = FlightRecorder::Global();
+  recorder.SetEnabled(false);
   recorder.Clear();
   {
     TraceSpan span("ignored", "test");
-    recorder.EmitInstant("ignored", "test");
+    TraceInstant("ignored", "test");
+    TraceCounter("ignored", 1);
   }
   EXPECT_EQ(recorder.EventCount(), 0u);
+  recorder.SetEnabled(true);
 }
 
 // ---------------------------------------------------------------- profile
@@ -276,9 +278,8 @@ TEST(QueryProfileTest, SpillCountersMatchTemporaryFileGroundTruth) {
   std::string temp_dir = ::testing::TempDir() + "ssagg_observe_test_" + std::to_string(::getpid());
   ASSERT_TRUE(FileSystem::Default().CreateDirectories(temp_dir).ok());
   // Trace the query too: a spilling run must produce balanced spans.
-  TraceRecorder &recorder = TraceRecorder::Global();
+  FlightRecorder &recorder = FlightRecorder::Global();
   recorder.Clear();
-  recorder.Enable("");
 
   // Memory limit below the intermediate size: phase 1 must spill and
   // phase 2 reload (mirrors the external-aggregation e2e test).
@@ -303,7 +304,6 @@ TEST(QueryProfileTest, SpillCountersMatchTemporaryFileGroundTruth) {
   auto stats = RunGroupedAggregation(bm, source, {0},
                                      {{AggregateKind::kSum, 1}}, collector,
                                      executor, config, &profile);
-  recorder.Disable();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(collector.TotalRows(), kRows);
 
@@ -480,7 +480,8 @@ TEST(FlightRecorderTest, RingWrapsAndDumpParsesAsChromeTrace) {
   std::filesystem::remove_all(dir);
   ASSERT_TRUE(FileSystem::Default().CreateDirectories(dir).ok());
 
-  FlightRecorder recorder;
+  std::string trace_path = dir + "/trace.json";
+  FlightRecorder recorder(FlightRecorder::kRingEvents, trace_path);
   recorder.SetDumpDirectory(dir);
   // Overfill the ring threefold: only the newest kRingEvents may survive.
   constexpr idx_t kTotal = 3 * FlightRecorder::kRingEvents;
@@ -490,26 +491,38 @@ TEST(FlightRecorderTest, RingWrapsAndDumpParsesAsChromeTrace) {
   }
   EXPECT_EQ(recorder.EventCount(), FlightRecorder::kRingEvents);
 
+  // The anomaly dump and the trace flush share one writer and one schema.
   std::string path = recorder.DumpAnomaly("unit_test");
   ASSERT_FALSE(path.empty());
-  auto contents = ReadWholeFile(path);
-  ASSERT_TRUE(contents.ok()) << contents.status().ToString();
-  auto parsed = Json::Parse(contents.value());
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_TRUE(recorder.FlushTrace().ok());
+  for (const std::string &file : {path, trace_path}) {
+    SCOPED_TRACE(file);
+    auto contents = ReadWholeFile(file);
+    ASSERT_TRUE(contents.ok()) << contents.status().ToString();
+    auto parsed = Json::Parse(contents.value());
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
 
-  const Json *reason = parsed.value().Find("flightReason");
-  ASSERT_TRUE(reason != nullptr);
-  EXPECT_EQ(reason->AsString(), "unit_test");
-  const Json *events = parsed.value().Find("traceEvents");
-  ASSERT_TRUE(events != nullptr && events->IsArray());
-  ASSERT_EQ(events->elements().size(), FlightRecorder::kRingEvents);
-  // The retained window is exactly the newest events, in order.
-  uint64_t expected = kTotal - FlightRecorder::kRingEvents;
-  for (const Json &event : events->elements()) {
-    EXPECT_EQ(event.Find("name")->AsString(), "wrap_event");
-    EXPECT_EQ(event.Find("ph")->AsString(), "X");
-    EXPECT_EQ(event.Find("args")->Find("v")->AsUint(), expected);
-    expected++;
+    const Json *reason = parsed.value().Find("flightReason");
+    if (file == path) {
+      ASSERT_TRUE(reason != nullptr);
+      EXPECT_EQ(reason->AsString(), "unit_test");
+    } else {
+      EXPECT_TRUE(reason == nullptr);
+    }
+    // A wrapped ring says how much it lost instead of truncating silently.
+    EXPECT_EQ(parsed.value().Find("droppedEvents")->AsUint(),
+              2 * FlightRecorder::kRingEvents);
+    const Json *events = parsed.value().Find("traceEvents");
+    ASSERT_TRUE(events != nullptr && events->IsArray());
+    ASSERT_EQ(events->elements().size(), FlightRecorder::kRingEvents);
+    // The retained window is exactly the newest events, in order.
+    uint64_t expected = kTotal - FlightRecorder::kRingEvents;
+    for (const Json &event : events->elements()) {
+      EXPECT_EQ(event.Find("name")->AsString(), "wrap_event");
+      EXPECT_EQ(event.Find("ph")->AsString(), "X");
+      EXPECT_EQ(event.Find("args")->Find("v")->AsUint(), expected);
+      expected++;
+    }
   }
 
   recorder.Clear();
@@ -572,6 +585,131 @@ TEST(FlightRecorderTest, QueryErrorDumpsFlightRecording) {
   ASSERT_TRUE(events != nullptr && events->IsArray());
   EXPECT_GT(events->elements().size(), 0u);
   std::filesystem::remove_all(dir);
+}
+
+TEST(FlightRecorderTest, DemotionDumpCarriesPlannerDecision) {
+  std::string dir = ::testing::TempDir() + "ssagg_flight_demote_" +
+                    std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(FileSystem::Default().CreateDirectories(dir).ok());
+  std::string temp_dir = dir + "/pool";
+  ASSERT_TRUE(FileSystem::Default().CreateDirectories(temp_dir).ok());
+
+  FlightRecorder &flight = FlightRecorder::Global();
+  std::string saved_dir = flight.dump_directory();
+  flight.SetDumpDirectory(dir);
+
+  // The planner's first sample window sees only 16 keys, so it commits to a
+  // central merge; afterwards the keyspace explodes and it demotes. One
+  // thread keeps the sample window inside the 16-key prefix.
+  constexpr idx_t kTotal = 400000;
+  BufferManager bm(temp_dir, 2048 * kPageSize);
+  TaskExecutor executor(1);
+  RangeSource source({LogicalTypeId::kInt64, LogicalTypeId::kInt64}, kTotal,
+                     [](DataChunk &chunk, idx_t start, idx_t count) {
+                       for (idx_t i = 0; i < count; i++) {
+                         idx_t row = start + i;
+                         int64_t key =
+                             row < 65536
+                                 ? static_cast<int64_t>(row % 16)
+                                 : static_cast<int64_t>(HashUint64(row) %
+                                                        150000);
+                         chunk.column(0).SetValue<int64_t>(i, key);
+                         chunk.column(1).SetValue<int64_t>(i, 1);
+                       }
+                       return Status::OK();
+                     });
+  CountingCollector collector;
+  HashAggregateConfig config;
+  config.phase1_capacity = 1024;
+  config.radix_bits = 3;
+  config.planner_sample_rows = 8192;
+  auto stats = RunGroupedAggregation(bm, source, {0},
+                                     {{AggregateKind::kSum, 1}}, collector,
+                                     executor, config);
+  flight.SetDumpDirectory(saved_dir);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  ASSERT_TRUE(stats.value().planner_demoted);
+
+  // The demotion dump must show the decision it abandons.
+  std::string demotion_dump;
+  for (const auto &entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().filename().string().find("demotion") !=
+        std::string::npos) {
+      demotion_dump = entry.path().string();
+    }
+  }
+  ASSERT_FALSE(demotion_dump.empty()) << "no demotion dump written";
+  auto contents = ReadWholeFile(demotion_dump);
+  ASSERT_TRUE(contents.ok());
+  auto parsed = Json::Parse(contents.value());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  bool saw_strategy = false;
+  for (const Json &event : parsed.value().Find("traceEvents")->elements()) {
+    if (event.Find("name")->AsString() == "planner.strategy") {
+      saw_strategy = true;
+      EXPECT_EQ(event.Find("ph")->AsString(), "i");
+      EXPECT_EQ(event.Find("args")->Find("v")->AsUint(),
+                static_cast<uint64_t>(stats.value().planner.strategy));
+    }
+  }
+  EXPECT_TRUE(saw_strategy) << "demotion dump lacks planner.strategy";
+  std::filesystem::remove_all(dir);
+}
+
+// ------------------------------------------------------------ thread slots
+
+TEST(ThreadSlotsTest, ThreadChurnReusesSlotsAndStaysExact) {
+  // The task executor spawns fresh threads per pipeline: each joined
+  // thread's ring and shard must pass to the next thread, with their
+  // contents kept, instead of piling up.
+  FlightRecorder recorder;
+  MetricsRegistry registry;
+  idx_t counter = registry.KeyId("test.churn");
+  idx_t hist = registry.HistogramId("test.churn_ns");
+  constexpr idx_t kCycles = 64;
+  for (idx_t i = 0; i < kCycles; i++) {
+    std::thread worker([&, i]() {
+      recorder.Record("churn", "test", 'X', recorder.NowMicros(), 1, i);
+      registry.Add(counter, i + 1);
+      registry.Record(hist, i);
+    });
+    worker.join();
+  }
+  EXPECT_LE(recorder.RingCount(), 2u);
+  EXPECT_LE(registry.ShardCount(), 2u);
+  EXPECT_EQ(recorder.EventCount(), kCycles);
+  EXPECT_EQ(registry.Value("test.churn"), kCycles * (kCycles + 1) / 2);
+  HistogramSnapshot snap = registry.Histogram("test.churn_ns");
+  EXPECT_EQ(snap.count, kCycles);
+  EXPECT_EQ(snap.sum, kCycles * (kCycles - 1) / 2);
+  EXPECT_EQ(snap.max, kCycles - 1);
+}
+
+TEST(ThreadSlotsTest, OwnersMayDieBeforeTheirThreads) {
+  // Thread exit releases its slots without touching the (destroyed) owner.
+  auto recorder = std::make_unique<FlightRecorder>();
+  auto registry = std::make_unique<MetricsRegistry>();
+  idx_t counter = registry->KeyId("test.orphan");
+  idx_t hist = registry->HistogramId("test.orphan_ns");
+  std::atomic<int> stage{0};
+  std::thread worker([&]() {
+    recorder->Record("orphan", "test", 'i', 0, 0, kInvalidIndex);
+    registry->Add(counter, 1);
+    registry->Record(hist, 1);
+    stage.store(1);
+    while (stage.load() != 2) {
+      std::this_thread::yield();
+    }
+  });
+  while (stage.load() != 1) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(registry->Value("test.orphan"), 1u);
+  recorder.reset();
+  registry.reset();
+  stage.store(2);
+  worker.join();
 }
 
 // ---------------------------------------------------------------- progress
