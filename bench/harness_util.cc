@@ -127,6 +127,8 @@ Json SnapshotJson(const BufferManagerSnapshot &snapshot) {
   set("spill_slot_reuses", snapshot.spill_slot_reuses);
   set("spill_variable_files", snapshot.spill_variable_files);
   set("oom_rejections", snapshot.oom_rejections);
+  set("frame_pool_bytes", snapshot.frame_pool_bytes);
+  set("frames_mapped", snapshot.frames_mapped);
   return object;
 }
 

@@ -7,7 +7,8 @@
 // touching the query threads (the handle is a few relaxed atomics plus a
 // registry delta).
 //
-// Afterwards it prints the process-wide MetricsRegistry in Prometheus text
+// Afterwards it prints the buffer manager's page frames (mapped, and idle in
+// its frame pool), the process-wide MetricsRegistry in Prometheus text
 // exposition format (what a /metrics endpoint would serve) and, when
 // SSAGG_FLIGHT_DUMP is set, writes a flight-recorder dump of the query's
 // last trace events.
@@ -104,9 +105,17 @@ int main() {
     SSAGG_LOG_ERROR("query failed: %s", stats.status().ToString().c_str());
     return 1;
   }
-  std::printf("groups: %llu  (phase1 %.2fs, phase2 %.2fs)\n\n",
+  std::printf("groups: %llu  (phase1 %.2fs, phase2 %.2fs)\n",
               static_cast<unsigned long long>(stats.value().unique_groups),
               stats.value().phase1_seconds, stats.value().phase2_seconds);
+  // The query's page frames now sit idle in the frame pool for the next
+  // query; idle plus charged memory stays within the limit.
+  BufferManagerSnapshot pool = bm.Snapshot();
+  std::printf("page frames: %llu mapped, %llu MiB idle in the frame pool "
+              "(limit %llu MiB)\n\n",
+              static_cast<unsigned long long>(pool.frames_mapped),
+              static_cast<unsigned long long>(pool.frame_pool_bytes >> 20),
+              static_cast<unsigned long long>(pool.memory_limit >> 20));
 
   std::printf("---- Prometheus exposition (process lifetime) ----\n%s",
               MetricsRegistry::Global().RenderPrometheus().c_str());

@@ -1,9 +1,18 @@
 #include "buffer/buffer_manager.h"
 
+#include <sys/mman.h>
+
+#include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <functional>
+#include <new>
 #include <thread>
 #include <vector>
+
+#if defined(SSAGG_ASAN)
+#include <sanitizer/asan_interface.h>
+#endif
 
 #include "buffer/memory_grant.h"
 #include "observe/log.h"
@@ -12,6 +21,52 @@
 #include "testing/fault_injector.h"
 
 namespace ssagg {
+
+//===----------------------------------------------------------------------===//
+// FileBuffer
+//===----------------------------------------------------------------------===//
+
+namespace {
+/// nullptr when the kernel refuses the mapping.
+data_ptr_t MapFrame(idx_t size) {
+  void *ptr = ::mmap(nullptr, size, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  return ptr == MAP_FAILED ? nullptr : static_cast<data_ptr_t>(ptr);
+}
+
+void UnmapFrame(data_ptr_t frame, idx_t size) { ::munmap(frame, size); }
+
+// Under AddressSanitizer an idle pool frame is poisoned, so that a stale
+// pointer into a released page is reported just as a use after free() was.
+void PoisonFrame([[maybe_unused]] data_ptr_t frame) {
+#if defined(SSAGG_ASAN)
+  ASAN_POISON_MEMORY_REGION(frame, kPageSize);
+#endif
+}
+
+void UnpoisonFrame([[maybe_unused]] data_ptr_t frame) {
+#if defined(SSAGG_ASAN)
+  ASAN_UNPOISON_MEMORY_REGION(frame, kPageSize);
+#endif
+}
+}  // namespace
+
+Result<std::unique_ptr<FileBuffer>> FileBuffer::Create(idx_t size) {
+  data_ptr_t data = MapFrame(size);
+  if (data == nullptr) {
+    return Status::OutOfMemory("cannot map a buffer of " +
+                               std::to_string(size) + " bytes");
+  }
+  return std::unique_ptr<FileBuffer>(new FileBuffer(data, size, nullptr));
+}
+
+FileBuffer::~FileBuffer() {
+  if (pool_ != nullptr) {
+    pool_->ReleaseFrame(data_);
+  } else {
+    UnmapFrame(data_, size_);
+  }
+}
 
 //===----------------------------------------------------------------------===//
 // BlockHandle / BufferHandle
@@ -110,6 +165,7 @@ BufferManager::BufferManager(std::string temp_directory, idx_t memory_limit,
       registry.KeyId("bm.evictions_temporary_destroyed");
   key_buffer_reuse_ = registry.KeyId("bm.buffer_reuse_hits");
   key_oom_rejections_ = registry.KeyId("bm.oom_rejections");
+  key_frame_pool_hits_ = registry.KeyId("bm.frame_pool_hits");
   hist_pin_wait_ = registry.HistogramId("bm.pin_wait_ns");
   hist_evict_select_ = registry.HistogramId("bm.evict_select_ns");
 }
@@ -118,6 +174,123 @@ BufferManager::~BufferManager() {
   // Outstanding prefetch completions hold shared_ptr<BlockHandle> and touch
   // this manager; none may survive past here.
   io_backend_->Drain();
+  std::vector<data_ptr_t> idle;
+  {
+    ScopedLock guard(frame_lock_);
+    TrimFramesLocked(0, &idle);
+  }
+  UnmapPoolFrames(idle);
+}
+
+void BufferManager::SetMemoryLimit(idx_t limit) {
+  memory_limit_.store(limit);
+  std::vector<data_ptr_t> trimmed;
+  {
+    ScopedLock guard(frame_lock_);
+    idx_t used = memory_used_.load(std::memory_order_relaxed);
+    TrimFramesLocked(used < limit ? limit - used : 0, &trimmed);
+  }
+  UnmapPoolFrames(trimmed);
+}
+
+//===----------------------------------------------------------------------===//
+// Frame pool
+//===----------------------------------------------------------------------===//
+
+bool BufferManager::TryCharge(idx_t size, std::unique_ptr<FileBuffer> *frame) {
+  SSAGG_DASSERT(frame == nullptr || size == kPageSize);
+  std::vector<data_ptr_t> trimmed;
+  data_ptr_t taken = nullptr;
+  {
+    ScopedLock guard(frame_lock_);
+    idx_t used = memory_used_.load(std::memory_order_relaxed);
+    idx_t limit = memory_limit_.load(std::memory_order_relaxed);
+    if (size > limit || used > limit - size) {
+      return false;
+    }
+    if (frame != nullptr && !idle_frames_.empty()) {
+      // The frame's bytes move from the pool to the charge: the sum stays.
+      taken = idle_frames_.back();
+      idle_frames_.pop_back();
+    } else {
+      TrimFramesLocked(limit - used - size, &trimmed);
+    }
+    memory_used_.fetch_add(size, std::memory_order_relaxed);
+  }
+  UnmapPoolFrames(trimmed);
+  if (taken != nullptr) {
+    UnpoisonFrame(taken);
+    MetricsRegistry::Global().Add(key_frame_pool_hits_, 1);
+    frame->reset(new FileBuffer(taken, kPageSize, this));
+  }
+  return true;
+}
+
+std::unique_ptr<FileBuffer> BufferManager::MapBuffer(idx_t size) {
+  if (size != kPageSize) {
+    auto buffer = FileBuffer::Create(size);
+    return buffer.ok() ? buffer.MoveValue() : nullptr;
+  }
+  data_ptr_t frame = MapFrame(kPageSize);
+  if (frame == nullptr) {
+    return nullptr;
+  }
+  frames_mapped_.fetch_add(1, std::memory_order_relaxed);
+  return std::unique_ptr<FileBuffer>(new FileBuffer(frame, kPageSize, this));
+}
+
+void BufferManager::ReleaseFrame(data_ptr_t frame) {
+  // Poisoned before it is published: once in the list another thread may
+  // take (and unpoison) it.
+  PoisonFrame(frame);
+  {
+    ScopedLock guard(frame_lock_);
+    idx_t used = memory_used_.load(std::memory_order_relaxed);
+    idx_t limit = memory_limit_.load(std::memory_order_relaxed);
+    idx_t idle_bytes = idle_frames_.size() * kPageSize;
+    if (used <= limit && idle_bytes + kPageSize <= limit - used) {
+      idle_frames_.push_back(frame);
+      return;
+    }
+  }
+  std::vector<data_ptr_t> rejected{frame};
+  UnmapPoolFrames(rejected);
+}
+
+void BufferManager::TrimFramesLocked(idx_t keep_bytes,
+                                     std::vector<data_ptr_t> *out) {
+  while (idle_frames_.size() * kPageSize > keep_bytes) {
+    out->push_back(idle_frames_.back());
+    idle_frames_.pop_back();
+  }
+}
+
+void BufferManager::UnmapPoolFrames(std::vector<data_ptr_t> &frames) {
+  // Frames mapped one after another usually sit next to each other, so one
+  // munmap covers each run of adjacent frames instead of one per frame.
+  std::sort(frames.begin(), frames.end(), std::less<data_ptr_t>());
+  idx_t start = 0;
+  while (start < frames.size()) {
+    idx_t end = start + 1;
+    while (end < frames.size() && frames[end] == frames[end - 1] + kPageSize) {
+      end++;
+    }
+    // Unpoisoned first: the shadow would otherwise outlive the mapping and
+    // flag whatever the kernel maps at these addresses next.
+    for (idx_t i = start; i < end; i++) {
+      UnpoisonFrame(frames[i]);
+    }
+    UnmapFrame(frames[start], (end - start) * kPageSize);
+    start = end;
+  }
+  frames_mapped_.fetch_sub(frames.size(), std::memory_order_relaxed);
+}
+
+void BufferManager::CancelReservation(idx_t size, GrantState *grant) {
+  memory_used_.fetch_sub(size, std::memory_order_relaxed);
+  if (grant != nullptr) {
+    grant->Discharge(size);
+  }
 }
 
 idx_t BufferManager::QueueIndexLocked(BlockKind kind) const {
@@ -255,22 +428,19 @@ BufferManager::EvictBlocks(idx_t reuse_size, const GrantState *only_grant)
   auto finalize = [&](BlockHandle &block, std::unique_ptr<FileBuffer> &result)
                       // SAFETY: called only while the block's lock_ is held.
                       SSAGG_NO_THREAD_SAFETY_ANALYSIS {
-    std::unique_ptr<FileBuffer> buffer = std::move(block.buffer_);
-    block.state_ = BlockState::kUnloaded;
-    DischargeLoaded(block.kind_, block.size_);
-    // The evicted query's grant gets its bytes back either way: on reuse the
-    // *global* charge transfers to the new allocation, but that allocation
-    // was already charged to its own grant by ReserveMemory.
-    DischargeGrant(block);
-    if (!result && buffer->size() == reuse_size) {
+    if (!result && block.size_ == reuse_size) {
       // Hand the buffer to the new allocation; its memory charge transfers.
+      // The evicted query's grant still gets its bytes back: the new
+      // allocation was already charged to its own grant by ReserveMemory.
+      DischargeLoaded(block.kind_, block.size_);
+      DischargeGrant(block);
+      result = std::move(block.buffer_);
+      block.state_ = BlockState::kUnloaded;
       reused_buffers_.fetch_add(1, std::memory_order_relaxed);
       MetricsRegistry::Global().Add(key_buffer_reuse_, 1);
-      result = std::move(buffer);
       return;
     }
-    buffer.reset();
-    memory_used_.fetch_sub(block.size_, std::memory_order_relaxed);
+    UnloadBlock(block);
   };
 
   // Spills the batch as one overlapped submission. All-or-nothing: if any
@@ -521,7 +691,7 @@ BufferManager::EvictBlocks(idx_t reuse_size, const GrantState *only_grant)
 }
 
 Result<std::unique_ptr<FileBuffer>> BufferManager::ReserveMemory(
-    idx_t size, GrantState *grant) {
+    idx_t size, GrantState *grant, bool want_buffer) {
   if (FaultInjector *injector =
           fault_injector_.load(std::memory_order_acquire)) {
     SSAGG_RETURN_NOT_OK(injector->Hit(FaultSite::kAllocate));
@@ -578,21 +748,27 @@ Result<std::unique_ptr<FileBuffer>> BufferManager::ReserveMemory(
     }
     return error;
   };
+  const bool want_frame = want_buffer && size == kPageSize;
   while (true) {
-    idx_t current = memory_used_.load(std::memory_order_relaxed);
-    if (current + size <= memory_limit_.load(std::memory_order_relaxed)) {
-      if (memory_used_.compare_exchange_weak(current, current + size,
-                                             std::memory_order_relaxed)) {
-        return std::unique_ptr<FileBuffer>(nullptr);
+    std::unique_ptr<FileBuffer> buffer;
+    if (TryCharge(size, want_frame ? &buffer : nullptr)) {
+      if (want_buffer && !buffer) {
+        buffer = MapBuffer(size);
+        if (!buffer) {
+          CancelReservation(size, grant);
+          return Status::OutOfMemory("cannot map a page buffer of " +
+                                     std::to_string(size) + " bytes");
+        }
       }
-      continue;  // lost the race; retry
+      return buffer;
     }
     // Buffer reuse transfers the evicted block's charge, leaving usage
     // unchanged — only acceptable while usage is within the limit. When the
     // pool is over the limit (it was lowered), evictions must actually free
     // memory so usage converges below it.
     bool allow_reuse =
-        current <= memory_limit_.load(std::memory_order_relaxed);
+        want_buffer && memory_used_.load(std::memory_order_relaxed) <=
+                           memory_limit_.load(std::memory_order_relaxed);
     auto evicted = EvictBlocks(allow_reuse ? size : 0);
     if (!evicted.ok()) {
       return discharge_on_error(evicted.status());
@@ -609,10 +785,8 @@ Result<BufferHandle> BufferManager::Allocate(
   BlockKind kind = size == kPageSize ? BlockKind::kTemporaryFixed
                                      : BlockKind::kTemporaryVariable;
   GrantState *grant = GrantScope::Current();
-  SSAGG_ASSIGN_OR_RETURN(auto buffer, ReserveMemory(size, grant));
-  if (!buffer) {
-    buffer = std::make_unique<FileBuffer>(size);
-  }
+  SSAGG_ASSIGN_OR_RETURN(auto buffer,
+                         ReserveMemory(size, grant, /*want_buffer=*/true));
   auto handle = std::make_shared<BlockHandle>(
       *this, next_temp_block_id_.fetch_add(1), kind, size, can_destroy,
       nullptr);
@@ -694,10 +868,8 @@ Result<BufferHandle> BufferManager::Pin(
   // foreign introspection thread pinning a session's page must not charge
   // its own query.
   SSAGG_ASSIGN_OR_RETURN(auto buffer,
-                         ReserveMemory(handle->size_, handle->grant_.get()));
-  if (!buffer) {
-    buffer = std::make_unique<FileBuffer>(handle->size_);
-  }
+                         ReserveMemory(handle->size_, handle->grant_.get(),
+                                       /*want_buffer=*/true));
   Status read_status;
   switch (handle->kind_) {
     case BlockKind::kPersistent:
@@ -724,6 +896,7 @@ Result<BufferHandle> BufferManager::Pin(
       break;
   }
   if (!read_status.ok()) {
+    // `buffer` goes back to the pool after the discharge.
     memory_used_.fetch_sub(handle->size_, std::memory_order_relaxed);
     DischargeGrant(*handle);
     return read_status;
@@ -735,22 +908,6 @@ Result<BufferHandle> BufferManager::Pin(
   handle->eviction_seq_.fetch_add(1, std::memory_order_relaxed);
   ChargeLoaded(handle->kind_, handle->size_);
   return BufferHandle(handle, handle->buffer_.get());
-}
-
-bool BufferManager::TryReserveForPrefetch(idx_t size) {
-  // Speculative reservation: spare headroom only — never evict, never
-  // consult the fault injector (a prefetch that cannot get memory is simply
-  // skipped, not an error).
-  while (true) {
-    idx_t current = memory_used_.load(std::memory_order_relaxed);
-    if (current + size > memory_limit_.load(std::memory_order_relaxed)) {
-      return false;
-    }
-    if (memory_used_.compare_exchange_weak(current, current + size,
-                                           std::memory_order_relaxed)) {
-      return true;
-    }
-  }
 }
 
 void BufferManager::Prefetch(const std::shared_ptr<BlockHandle> &handle) {
@@ -769,16 +926,25 @@ void BufferManager::Prefetch(const std::shared_ptr<BlockHandle> &handle) {
         handle->temp_slot_ == kInvalidIndex || !handle->load_error_.ok()) {
       return;  // not a spilled fixed page (or carrying unsurfaced poison)
     }
-    if (!TryReserveForPrefetch(handle->size_)) {
+    // Speculative reservation: spare headroom only — never evict, never
+    // consult the fault injector (a prefetch that cannot get memory is
+    // simply skipped, not an error).
+    std::unique_ptr<FileBuffer> buffer;
+    if (!TryCharge(handle->size_, &buffer)) {
       return;  // memory is tight; the eventual Pin will evict as usual
     }
-    if (handle->grant_ != nullptr && !handle->grant_->TryCharge(handle->size_)) {
-      // Speculative like the global half: never grow the grant for a
-      // prefetch. The demand Pin charges (and grows) properly.
+    if (!buffer) {
+      buffer = MapBuffer(handle->size_);
+    }
+    // Speculative like the global half: never grow the grant for a
+    // prefetch. The demand Pin charges (and grows) properly.
+    if (!buffer || (handle->grant_ != nullptr &&
+                    !handle->grant_->TryCharge(handle->size_))) {
+      // `buffer` goes back to the pool after the discharge.
       memory_used_.fetch_sub(handle->size_, std::memory_order_relaxed);
       return;
     }
-    handle->buffer_ = std::make_unique<FileBuffer>(handle->size_);
+    handle->buffer_ = std::move(buffer);
     handle->state_ = BlockState::kLoading;
     raw = handle->buffer_.get();
     slot = handle->temp_slot_;
@@ -803,10 +969,7 @@ void BufferManager::FinishPrefetch(const std::shared_ptr<BlockHandle> &handle,
       DischargeSpillQuota(*handle);
       if (handle->destroyed_) {
         // Destroyed mid-flight: drop the freshly loaded contents.
-        handle->buffer_.reset();
-        handle->state_ = BlockState::kUnloaded;
-        memory_used_.fetch_sub(handle->size_, std::memory_order_relaxed);
-        DischargeGrant(*handle);
+        UnloadBlock(*handle);
       } else {
         handle->state_ = BlockState::kLoaded;
         handle->eviction_seq_.fetch_add(1, std::memory_order_relaxed);
@@ -824,10 +987,7 @@ void BufferManager::FinishPrefetch(const std::shared_ptr<BlockHandle> &handle,
       // Failed read keeps the slot (spill state stays reclaimable). Poison
       // the block so the next Pin surfaces the error; if it was destroyed
       // mid-flight nobody will pin again, so release the slot here.
-      handle->buffer_.reset();
-      handle->state_ = BlockState::kUnloaded;
-      memory_used_.fetch_sub(handle->size_, std::memory_order_relaxed);
-      DischargeGrant(*handle);
+      UnloadBlock(*handle);
       if (handle->destroyed_) {
         if (handle->temp_slot_ != kInvalidIndex) {
           temp_files_.FreeFixedSlot(handle->temp_slot_);
@@ -845,6 +1005,17 @@ void BufferManager::FinishPrefetch(const std::shared_ptr<BlockHandle> &handle,
   }
 }
 
+void BufferManager::UnloadBlock(BlockHandle &block) {
+  if (block.state_ == BlockState::kLoaded) {
+    DischargeLoaded(block.kind_, block.size_);
+  }
+  memory_used_.fetch_sub(block.size_, std::memory_order_relaxed);
+  DischargeGrant(block);
+  // Dropped after the discharge, so that the frame finds room in the pool.
+  block.buffer_.reset();
+  block.state_ = BlockState::kUnloaded;
+}
+
 void BufferManager::Unpin(BlockHandle &block) {
   ScopedLock lock(block.lock_);
   int32_t readers = block.readers_.fetch_sub(1, std::memory_order_relaxed) - 1;
@@ -855,11 +1026,7 @@ void BufferManager::Unpin(BlockHandle &block) {
   }
   if (block.destroyed_) {
     // DestroyBlock was called while pins were outstanding; free now.
-    block.buffer_.reset();
-    block.state_ = BlockState::kUnloaded;
-    DischargeLoaded(block.kind_, block.size_);
-    memory_used_.fetch_sub(block.size_, std::memory_order_relaxed);
-    DischargeGrant(block);
+    UnloadBlock(block);
     return;
   }
   // Becomes an eviction candidate.
@@ -889,11 +1056,7 @@ void BufferManager::DestroyBlock(const std::shared_ptr<BlockHandle> &handle) {
   handle->destroyed_ = true;
   if (handle->state_ == BlockState::kLoaded) {
     if (handle->readers_.load(std::memory_order_relaxed) == 0) {
-      handle->buffer_.reset();
-      handle->state_ = BlockState::kUnloaded;
-      DischargeLoaded(handle->kind_, handle->size_);
-      memory_used_.fetch_sub(handle->size_, std::memory_order_relaxed);
-      DischargeGrant(*handle);
+      UnloadBlock(*handle);
     }
     // else: freed by the final Unpin.
     return;
@@ -926,10 +1089,7 @@ void BufferManager::CleanupDroppedBlock(BlockHandle &block) {
     return;
   }
   if (block.state_ == BlockState::kLoaded) {
-    block.buffer_.reset();
-    DischargeLoaded(block.kind_, block.size_);
-    memory_used_.fetch_sub(block.size_, std::memory_order_relaxed);
-    DischargeGrant(block);
+    UnloadBlock(block);
     return;
   }
   if (block.temp_slot_ != kInvalidIndex) {
@@ -944,9 +1104,14 @@ void BufferManager::CleanupDroppedBlock(BlockHandle &block) {
 
 Result<NonPagedAllocation> BufferManager::AllocateNonPaged(idx_t size) {
   GrantState *grant = GrantScope::Current();
-  SSAGG_ASSIGN_OR_RETURN(auto reused, ReserveMemory(size, grant));
-  reused.reset();  // a page buffer cannot back a non-paged allocation
-  data_ptr_t data = new data_t[size];
+  SSAGG_RETURN_NOT_OK(
+      ReserveMemory(size, grant, /*want_buffer=*/false).status());
+  data_ptr_t data = new (std::nothrow) data_t[size];
+  if (data == nullptr) {
+    CancelReservation(size, grant);
+    return Status::OutOfMemory("cannot allocate " + std::to_string(size) +
+                               " non-paged bytes");
+  }
   non_paged_bytes_.fetch_add(size, std::memory_order_relaxed);
   return NonPagedAllocation(
       this, data, size, grant != nullptr ? grant->shared_from_this() : nullptr);
@@ -961,12 +1126,7 @@ Status BufferManager::ReserveExternalMemory(idx_t size) {
   // Deliberately ungranted: the external-memory path is only used by the
   // baseline sort models, whose Free calls are not tied to a session scope —
   // a grant charged here could not be reliably returned.
-  SSAGG_ASSIGN_OR_RETURN(auto reused, ReserveMemory(size, nullptr));
-  // An evicted buffer cannot back an external allocation; release the
-  // physical memory but keep the charge (it now accounts for the caller's
-  // allocation).
-  reused.reset();
-  return Status::OK();
+  return ReserveMemory(size, nullptr, /*want_buffer=*/false).status();
 }
 
 void BufferManager::FreeExternalMemory(idx_t size) {
@@ -1007,6 +1167,11 @@ BufferManagerSnapshot BufferManager::Snapshot() const {
   snap.spill_slot_reuses = temp_files_.SlotReuses();
   snap.spill_variable_files = temp_files_.VariableFilesCreated();
   snap.oom_rejections = oom_rejections_.load(std::memory_order_relaxed);
+  {
+    ScopedLock guard(frame_lock_);
+    snap.frame_pool_bytes = idle_frames_.size() * kPageSize;
+  }
+  snap.frames_mapped = frames_mapped_.load(std::memory_order_relaxed);
   snap.pinned_buffers = PinnedBufferCount();
   return snap;
 }

@@ -5,6 +5,7 @@
 #include <deque>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "buffer/block_handle.h"
 #include "buffer/buffer_handle.h"
@@ -66,6 +67,11 @@ struct BufferManagerSnapshot {
   idx_t prefetch_completed = 0;
   /// Reservations rejected because nothing more could be evicted.
   idx_t oom_rejections = 0;
+  /// Idle page frames kept for reuse. They are not charged to memory_used,
+  /// but memory_used + frame_pool_bytes stays within memory_limit.
+  idx_t frame_pool_bytes = 0;
+  /// Page frames currently mapped: held by blocks plus idle in the pool.
+  idx_t frames_mapped = 0;
   /// Outstanding pins (live BufferHandles) across all blocks. Must be zero
   /// once no query state is alive — the no-leak invariant the fault suite
   /// asserts after every injected failure.
@@ -206,8 +212,8 @@ class BufferManager {
     return memory_limit_.load(std::memory_order_relaxed);
   }
   /// Adjusting the limit only affects future reservations; it does not
-  /// proactively evict.
-  void SetMemoryLimit(idx_t limit) { memory_limit_.store(limit); }
+  /// proactively evict. Idle page frames beyond the new limit are unmapped.
+  void SetMemoryLimit(idx_t limit);
   [[nodiscard]] EvictionPolicy policy() const;
   void SetEvictionPolicy(EvictionPolicy policy);
 
@@ -255,6 +261,7 @@ class BufferManager {
  private:
   friend class BlockHandle;
   friend class BufferHandle;
+  friend class FileBuffer;
   friend class NonPagedAllocation;
 
   /// Releases a NonPagedAllocation's charge.
@@ -271,18 +278,40 @@ class BufferManager {
   idx_t QueueIndexLocked(BlockKind kind) const SSAGG_REQUIRES(queue_lock_);
 
   /// Makes room for `size` bytes, evicting pages as needed. On success the
-  /// reservation is charged to memory_used_. If an evicted buffer has
-  /// exactly the requested size it is returned for reuse. When `grant` is
-  /// set (multi-tenant service sessions) the reservation is additionally
-  /// charged against that query's grant first; a grant that cannot grow
-  /// degrades to evicting the query's *own* pages (EvictBlocks restricted to
-  /// the grant) before the charge fails with OutOfMemory.
+  /// reservation is charged to memory_used_. With `want_buffer` it also
+  /// returns the buffer that backs it: an evicted block's buffer of exactly
+  /// that size (handed over with its charge, so no other thread can take the
+  /// freed memory first), an idle frame from the pool, or a fresh mapping.
+  /// When `grant` is set (multi-tenant service sessions) the reservation is
+  /// additionally charged against that query's grant first; a grant that
+  /// cannot grow degrades to evicting the query's *own* pages (EvictBlocks
+  /// restricted to the grant) before the charge fails with OutOfMemory. A
+  /// mapping the kernel refuses is OutOfMemory too, with both charges given
+  /// back.
   Result<std::unique_ptr<FileBuffer>> ReserveMemory(idx_t size,
-                                                    GrantState *grant);
+                                                    GrantState *grant,
+                                                    bool want_buffer);
 
-  /// Like ReserveMemory but speculative: only consumes spare headroom —
-  /// never evicts and never consults the fault injector. Used by Prefetch.
-  bool TryReserveForPrefetch(idx_t size);
+  /// One attempt to charge `size` bytes without evicting: succeeds iff
+  /// memory_used_ + size fits the limit. A page-frame request (`frame` set,
+  /// size == kPageSize) takes an idle frame if there is one; any other
+  /// charge first unmaps idle frames until it fits beside them, so that
+  /// memory_used_ + idle frame bytes never exceeds the limit.
+  bool TryCharge(idx_t size, std::unique_ptr<FileBuffer> *frame)
+      SSAGG_EXCLUDES(frame_lock_);
+  /// Maps a fresh buffer for a reservation already charged; a kPageSize
+  /// buffer is a pool frame. nullptr when the kernel refuses the mapping.
+  std::unique_ptr<FileBuffer> MapBuffer(idx_t size);
+  /// Called by ~FileBuffer for a pool frame: keeps it idle if that stays
+  /// within the limit, and unmaps it otherwise.
+  void ReleaseFrame(data_ptr_t frame) SSAGG_EXCLUDES(frame_lock_);
+  /// Moves idle frames to `out` until at most `keep_bytes` of them remain;
+  /// the caller unmaps them (UnmapPoolFrames) after dropping the lock.
+  void TrimFramesLocked(idx_t keep_bytes, std::vector<data_ptr_t> *out)
+      SSAGG_REQUIRES(frame_lock_);
+  void UnmapPoolFrames(std::vector<data_ptr_t> &frames);
+  /// Gives back a reservation whose memory could not be provided.
+  void CancelReservation(idx_t size, GrantState *grant);
 
   /// Evicts at least one block, spilling up to spill_batch_ fixed-size
   /// temporaries as one overlapped write batch. Returns an evicted buffer
@@ -312,6 +341,10 @@ class BufferManager {
   /// backend's completing thread.
   void FinishPrefetch(const std::shared_ptr<BlockHandle> &handle,
                       const Status &status);
+
+  /// Drops a block's buffer (kLoaded, or kLoading for an abandoned
+  /// prefetch) together with its memory and grant charges.
+  void UnloadBlock(BlockHandle &block) SSAGG_REQUIRES(block.lock_);
 
   /// Called by BufferHandle::Reset.
   void Unpin(BlockHandle &block);
@@ -362,6 +395,17 @@ class BufferManager {
   /// concurrent scans seeing each other would retry forever.
   std::atomic<idx_t> eviction_lock_holders_{0};
 
+  /// The frame pool: idle kPageSize frames, reused before new ones are
+  /// mapped. Leaf lock, ranked above every lock a buffer can be released
+  /// under (block, eviction queue, temp file, I/O completion). Every
+  /// increase of memory_used_ or of the pool is checked under it, which
+  /// keeps memory_used_ + idle frame bytes within the limit; decreases need
+  /// no lock.
+  mutable Mutex frame_lock_{LockRank::kFramePool,
+                            "BufferManager::frame_lock_"};
+  std::vector<data_ptr_t> idle_frames_ SSAGG_GUARDED_BY(frame_lock_);
+  std::atomic<idx_t> frames_mapped_{0};
+
   std::atomic<idx_t> evicted_persistent_count_{0};
   std::atomic<idx_t> evicted_temporary_count_{0};
   std::atomic<idx_t> reused_buffers_{0};
@@ -374,6 +418,7 @@ class BufferManager {
   idx_t key_evict_temp_destroyed_;
   idx_t key_buffer_reuse_;
   idx_t key_oom_rejections_;
+  idx_t key_frame_pool_hits_;
   /// Histogram ids: time Pin() blocked on an in-flight load, and time
   /// EvictBlocks spent selecting victims (scan + try-lock churn, excluding
   /// the spill write itself).

@@ -276,6 +276,11 @@ class ThreadPoolIoBackend final : public AsyncIoBackend {
         item.request.on_complete(status);
       }
       item.completion->Complete(std::move(status));
+      // Drop the request, and whatever its callback captured, before
+      // reporting idle: once Drain() returns no callback state may remain.
+      // A captured block handle's last reference would otherwise release
+      // its page into a buffer manager that is being destroyed.
+      item = Item{};
       in_flight_.fetch_sub(1, std::memory_order_relaxed);
       bool idle;
       {

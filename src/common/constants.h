@@ -12,10 +12,6 @@ namespace ssagg {
 /// the buffer manager reuse evicted buffers across the two kinds.
 constexpr uint64_t kPageSize = 1ULL << 18;
 
-/// Alignment of page allocations. 4096 keeps pages O_DIRECT-compatible and
-/// cacheline-friendly.
-constexpr uint64_t kPageAlignment = 4096;
-
 /// Number of tuples in one vectorized batch (DuckDB-style vector size).
 /// Section V: "Data is scanned from morsels in batches of up to 2,048 tuples."
 constexpr uint64_t kVectorSize = 2048;

@@ -56,6 +56,10 @@ enum class LockRank : std::uint16_t {
   kIoDrain = 72,            // IoUringBackend::drain_lock_
   kIoCompletion = 76,       // IoCompletion::lock_
 
+  // --- Frame pool (leaf of the buffer band: buffers are released under
+  // block, eviction-queue, temp-file and I/O-completion locks) -----------
+  kFramePool = 80,          // BufferManager::frame_lock_
+
   // --- Observability (leaf-most: callable from anywhere) -----------------
   kMetricsRegistry = 84,    // MetricsRegistry::lock_
   kQueryProgress = 86,      // QueryProgress::lock_

@@ -155,6 +155,7 @@ Result<HashAggregateStats> RunGroupedAggregation(
 
     BufferManagerSnapshot snapshot = buffer_manager.Snapshot();
     profile->AddCounter("bm.memory_limit", snapshot.memory_limit);
+    profile->AddCounter("bm.frames_mapped", snapshot.frames_mapped);
     profile->AddCounter("bm.temp_file_peak", snapshot.temp_file_peak);
     profile->AddTiming("io.spill_write_seconds", snapshot.spill_write_seconds);
     profile->AddTiming("io.spill_read_seconds", snapshot.spill_read_seconds);

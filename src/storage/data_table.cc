@@ -161,8 +161,7 @@ Status DataTable::WriteSegment(const std::vector<data_t> &bytes,
   if (!current_block_ ||
       current_block_offset_ + bytes.size() > kPageSize) {
     SSAGG_RETURN_NOT_OK(FlushCurrentBlock());
-    current_block_ = std::make_unique<FileBuffer>(kPageSize);
-    std::memset(current_block_->data(), 0, kPageSize);
+    SSAGG_ASSIGN_OR_RETURN(current_block_, FileBuffer::Create(kPageSize));
     current_block_id_ = block_manager_.AllocateBlock();
     current_block_offset_ = 0;
   }

@@ -208,7 +208,7 @@ TEST_F(SpillIoTest, BatchedWritesCoalesceAdjacentSlots) {
   std::vector<std::unique_ptr<FileBuffer>> pages;
   std::vector<FixedSpillRequest> requests(kBatch);
   for (idx_t i = 0; i < kBatch; i++) {
-    pages.push_back(std::make_unique<FileBuffer>(kPageSize));
+    pages.push_back(FileBuffer::Create(kPageSize).MoveValue());
     std::memset(pages[i]->data(), static_cast<int>('A' + i), kPageSize);
     requests[i].buffer = pages[i].get();
   }
@@ -226,10 +226,10 @@ TEST_F(SpillIoTest, BatchedWritesCoalesceAdjacentSlots) {
   EXPECT_EQ(tfm.UsedSlots(), kBatch);
   // Each page reads back intact and releases its slot.
   for (idx_t i = 0; i < kBatch; i++) {
-    FileBuffer readback(kPageSize);
-    ASSERT_TRUE(tfm.ReadFixedBlock(requests[i].slot, readback).ok());
-    EXPECT_EQ(readback.data()[0], static_cast<data_t>('A' + i));
-    EXPECT_EQ(readback.data()[kPageSize - 1], static_cast<data_t>('A' + i));
+    auto readback = FileBuffer::Create(kPageSize).MoveValue();
+    ASSERT_TRUE(tfm.ReadFixedBlock(requests[i].slot, *readback).ok());
+    EXPECT_EQ(readback->data()[0], static_cast<data_t>('A' + i));
+    EXPECT_EQ(readback->data()[kPageSize - 1], static_cast<data_t>('A' + i));
   }
   EXPECT_EQ(tfm.UsedSlots(), 0u);
 }
@@ -239,7 +239,7 @@ TEST_F(SpillIoTest, CompressionShrinksBytesWrittenAndRoundtrips) {
   TemporaryFileManager tfm(temp_dir_, FileSystem::Default(), backend.get(),
                            /*spill_compression=*/true);
   // A structured page (mostly-small deltas in 64-bit words) compresses well.
-  auto page = std::make_unique<FileBuffer>(kPageSize);
+  auto page = FileBuffer::Create(kPageSize).MoveValue();
   auto *words = reinterpret_cast<uint64_t *>(page->data());
   for (idx_t i = 0; i < kPageSize / sizeof(uint64_t); i++) {
     words[i] = 1000000 + i % 97;
@@ -250,9 +250,9 @@ TEST_F(SpillIoTest, CompressionShrinksBytesWrittenAndRoundtrips) {
   ASSERT_TRUE(request.status.ok());
   EXPECT_LT(tfm.BytesWritten(), tfm.RawBytesWritten());
   EXPECT_EQ(tfm.RawBytesWritten(), kPageSize);
-  FileBuffer readback(kPageSize);
-  ASSERT_TRUE(tfm.ReadFixedBlock(request.slot, readback).ok());
-  EXPECT_EQ(std::memcmp(readback.data(), page->data(), kPageSize), 0);
+  auto readback = FileBuffer::Create(kPageSize).MoveValue();
+  ASSERT_TRUE(tfm.ReadFixedBlock(request.slot, *readback).ok());
+  EXPECT_EQ(std::memcmp(readback->data(), page->data(), kPageSize), 0);
 }
 
 TEST_F(SpillIoTest, IncompressiblePageStaysRaw) {
@@ -261,7 +261,7 @@ TEST_F(SpillIoTest, IncompressiblePageStaysRaw) {
                            /*spill_compression=*/true);
   // Pseudo-random bytes defeat both byte-RLE and word-FoR; the page must be
   // stored raw (no frame) and still roundtrip.
-  auto page = std::make_unique<FileBuffer>(kPageSize);
+  auto page = FileBuffer::Create(kPageSize).MoveValue();
   uint64_t state = 0x9E3779B97F4A7C15ULL;
   for (idx_t i = 0; i < kPageSize; i++) {
     state = state * 6364136223846793005ULL + 1442695040888963407ULL;
@@ -272,9 +272,9 @@ TEST_F(SpillIoTest, IncompressiblePageStaysRaw) {
   tfm.WriteFixedBlocks(&request, 1);
   ASSERT_TRUE(request.status.ok());
   EXPECT_EQ(tfm.BytesWritten(), kPageSize);
-  FileBuffer readback(kPageSize);
-  ASSERT_TRUE(tfm.ReadFixedBlock(request.slot, readback).ok());
-  EXPECT_EQ(std::memcmp(readback.data(), page->data(), kPageSize), 0);
+  auto readback = FileBuffer::Create(kPageSize).MoveValue();
+  ASSERT_TRUE(tfm.ReadFixedBlock(request.slot, *readback).ok());
+  EXPECT_EQ(std::memcmp(readback->data(), page->data(), kPageSize), 0);
 }
 
 //===----------------------------------------------------------------------===//

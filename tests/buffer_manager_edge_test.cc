@@ -43,21 +43,24 @@ TEST_F(BufferManagerEdgeTest, LoweringTheLimitEvictsLazily) {
   bm.SetMemoryLimit(2 * kPageSize);
   // No proactive eviction...
   EXPECT_EQ(bm.memory_used(), 8 * kPageSize);
-  // ...but the next reservation drives usage down under the new limit.
+  // ...but the next reservation drives usage down under the new limit, and
+  // the evicted pages' frames are unmapped rather than kept idle past it.
   std::shared_ptr<BlockHandle> extra;
   auto h = bm.Allocate(kPageSize, &extra).MoveValue();
-  EXPECT_LE(bm.memory_used(), 2 * kPageSize);
+  auto snap = bm.Snapshot();
+  EXPECT_LE(snap.memory_used, 2 * kPageSize);
+  EXPECT_LE(snap.memory_used + snap.frame_pool_bytes, 2 * kPageSize);
 }
 
 TEST_F(BufferManagerEdgeTest, SpillTemporaryOffStillEvictsPersistent) {
   auto block_mgr =
       FileBlockManager::Create(temp_dir_ + "/edge.db").MoveValue();
-  FileBuffer buf(kPageSize);
+  auto buf = FileBuffer::Create(kPageSize).MoveValue();
   std::vector<block_id_t> ids;
   for (int i = 0; i < 3; i++) {
     block_id_t id = block_mgr->AllocateBlock();
-    std::memset(buf.data(), i, kPageSize);
-    ASSERT_TRUE(block_mgr->WriteBlock(id, buf).ok());
+    std::memset(buf->data(), i, kPageSize);
+    ASSERT_TRUE(block_mgr->WriteBlock(id, *buf).ok());
     ids.push_back(id);
   }
   BufferManager bm(temp_dir_, 3 * kPageSize);
@@ -114,6 +117,15 @@ TEST_F(BufferManagerEdgeTest, ZeroByteReservationsAreNoOps) {
   EXPECT_EQ(bm.memory_used(), 0u);
 }
 
+TEST_F(BufferManagerEdgeTest, ReservationSizeCannotWrapTheLimitCheck) {
+  BufferManager bm(temp_dir_, 4 * kPageSize);
+  std::shared_ptr<BlockHandle> block;
+  auto h = bm.Allocate(kPageSize, &block).MoveValue();
+  // used + size wraps around to kPageSize - 1, below the limit.
+  EXPECT_FALSE(bm.ReserveExternalMemory(~idx_t{0}).ok());
+  EXPECT_EQ(bm.memory_used(), kPageSize);
+}
+
 TEST_F(BufferManagerEdgeTest, ConcurrentNonPagedAndPagedPressure) {
   BufferManager bm(temp_dir_, 16 * kPageSize);
   std::atomic<int> failures{0};
@@ -167,12 +179,12 @@ class EvictionPolicyOrderTest : public BufferManagerEdgeTest {
     block_mgr_ = FileBlockManager::Create(temp_dir_ + "/policy.db",
                                           bm.fs())
                      .MoveValue();
-    FileBuffer buf(kPageSize);
+    auto buf = FileBuffer::Create(kPageSize).MoveValue();
     std::vector<block_id_t> ids;
     for (int i = 0; i < 2; i++) {
       block_id_t id = block_mgr_->AllocateBlock();
-      std::memset(buf.data(), i + 1, kPageSize);
-      ASSERT_TRUE(block_mgr_->WriteBlock(id, buf).ok());
+      std::memset(buf->data(), i + 1, kPageSize);
+      ASSERT_TRUE(block_mgr_->WriteBlock(id, *buf).ok());
       ids.push_back(id);
     }
     // Two pinned temporary pages...

@@ -4,11 +4,30 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <thread>
 #include <vector>
 
+#include "buffer/memory_grant.h"
 #include "common/file_system.h"
+#include "common/random.h"
+#include "core/run_aggregation.h"
+#include "execution/collectors.h"
+#include "execution/range_source.h"
+#include "observe/metrics.h"
+
+// Sanitizer allocators abort on oversize requests instead of returning null.
+#if defined(__SANITIZE_THREAD__)
+#define SSAGG_SANITIZER_ALLOCATOR 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define SSAGG_SANITIZER_ALLOCATOR 1
+#endif
+#endif
+#if defined(SSAGG_ASAN)
+#define SSAGG_SANITIZER_ALLOCATOR 1
+#endif
 
 namespace ssagg {
 namespace {
@@ -211,11 +230,11 @@ TEST_F(BufferManagerTest, PersistentBlocksEvictForFree) {
 
   // Write 4 persistent blocks directly.
   std::vector<block_id_t> ids;
-  FileBuffer buf(kPageSize);
+  auto buf = FileBuffer::Create(kPageSize).MoveValue();
   for (idx_t i = 0; i < 4; i++) {
     block_id_t id = block_mgr->AllocateBlock();
-    std::memset(buf.data(), static_cast<int>(i + 10), kPageSize);
-    ASSERT_TRUE(block_mgr->WriteBlock(id, buf).ok());
+    std::memset(buf->data(), static_cast<int>(i + 10), kPageSize);
+    ASSERT_TRUE(block_mgr->WriteBlock(id, *buf).ok());
     ids.push_back(id);
   }
   // Register + pin all 4 through a 2-page pool: persistent pages get
@@ -243,12 +262,12 @@ TEST_F(BufferManagerTest, PersistentBlocksEvictForFree) {
 TEST_F(BufferManagerTest, TemporaryFirstSparesPersistentPages) {
   std::string db_path = temp_dir_ + "/policy.db";
   auto block_mgr = FileBlockManager::Create(db_path).MoveValue();
-  FileBuffer buf(kPageSize);
+  auto buf = FileBuffer::Create(kPageSize).MoveValue();
   std::vector<block_id_t> ids;
   for (idx_t i = 0; i < 2; i++) {
     block_id_t id = block_mgr->AllocateBlock();
-    std::memset(buf.data(), 7, kPageSize);
-    ASSERT_TRUE(block_mgr->WriteBlock(id, buf).ok());
+    std::memset(buf->data(), 7, kPageSize);
+    ASSERT_TRUE(block_mgr->WriteBlock(id, *buf).ok());
     ids.push_back(id);
   }
 
@@ -275,12 +294,12 @@ TEST_F(BufferManagerTest, TemporaryFirstSparesPersistentPages) {
 TEST_F(BufferManagerTest, PersistentFirstSparesTemporaryPages) {
   std::string db_path = temp_dir_ + "/policy2.db";
   auto block_mgr = FileBlockManager::Create(db_path).MoveValue();
-  FileBuffer buf(kPageSize);
+  auto buf = FileBuffer::Create(kPageSize).MoveValue();
   std::vector<block_id_t> ids;
   for (idx_t i = 0; i < 2; i++) {
     block_id_t id = block_mgr->AllocateBlock();
-    std::memset(buf.data(), 7, kPageSize);
-    ASSERT_TRUE(block_mgr->WriteBlock(id, buf).ok());
+    std::memset(buf->data(), 7, kPageSize);
+    ASSERT_TRUE(block_mgr->WriteBlock(id, *buf).ok());
     ids.push_back(id);
   }
   BufferManager bm(temp_dir_, 4 * kPageSize,
@@ -345,6 +364,267 @@ TEST_F(BufferManagerTest, ConcurrentAllocatePinStress) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_LE(bm.memory_used(), 8 * kPageSize);
 }
+
+// 2^48 bytes exceed the x86-64 user address space, so these requests fail
+// under any overcommit setting, after the reservation itself succeeded.
+constexpr idx_t kUnmappable = 1ULL << 48;
+
+TEST_F(BufferManagerTest, FailedMappingReturnsOutOfMemory) {
+  BufferManager bm(temp_dir_, 1ULL << 49);
+  MemoryGrantPool pool(1ULL << 49);
+  auto grant = pool.TryAcquire(1ULL << 49, 1ULL << 49).MoveValue();
+  GrantScope scope(grant.state());
+  std::shared_ptr<BlockHandle> block;
+  auto res = bm.Allocate(kUnmappable, &block);
+  ASSERT_FALSE(res.ok());
+  EXPECT_TRUE(res.status().IsOutOfMemory()) << res.status().ToString();
+  EXPECT_EQ(bm.memory_used(), 0u);
+  EXPECT_EQ(grant.state()->used(), 0u);
+}
+
+TEST_F(BufferManagerTest, FailedNonPagedAllocationReturnsOutOfMemory) {
+#if defined(SSAGG_SANITIZER_ALLOCATOR)
+  GTEST_SKIP() << "the sanitizer allocator aborts on oversize requests";
+#endif
+  BufferManager bm(temp_dir_, 1ULL << 49);
+  MemoryGrantPool pool(1ULL << 49);
+  auto grant = pool.TryAcquire(1ULL << 49, 1ULL << 49).MoveValue();
+  GrantScope scope(grant.state());
+  auto res = bm.AllocateNonPaged(kUnmappable);
+  ASSERT_FALSE(res.ok());
+  EXPECT_TRUE(res.status().IsOutOfMemory()) << res.status().ToString();
+  EXPECT_EQ(bm.memory_used(), 0u);
+  EXPECT_EQ(grant.state()->used(), 0u);
+}
+
+TEST_F(BufferManagerTest, ReleasedFramesAreReused) {
+  BufferManager bm(temp_dir_, 16 * kMiB);
+  std::vector<std::shared_ptr<BlockHandle>> blocks(4);
+  for (auto &block : blocks) {
+    auto h = bm.Allocate(kPageSize, &block).MoveValue();
+  }
+  for (auto &block : blocks) {
+    bm.DestroyBlock(block);
+  }
+  auto snap = bm.Snapshot();
+  EXPECT_EQ(snap.memory_used, 0u);
+  EXPECT_EQ(snap.frame_pool_bytes, 4 * kPageSize);
+  EXPECT_EQ(snap.frames_mapped, 4u);
+  // The next allocations take the idle frames instead of mapping new ones.
+  for (auto &block : blocks) {
+    auto h = bm.Allocate(kPageSize, &block).MoveValue();
+  }
+  snap = bm.Snapshot();
+  EXPECT_EQ(snap.frame_pool_bytes, 0u);
+  EXPECT_EQ(snap.frames_mapped, 4u);
+  // A variable-size page does not fit beside the idle frames: they go first.
+  blocks.clear();
+  bm.SetMemoryLimit(8 * kPageSize);
+  EXPECT_EQ(bm.Snapshot().frame_pool_bytes, 4 * kPageSize);
+  std::shared_ptr<BlockHandle> big;
+  auto h = bm.Allocate(6 * kPageSize, &big).MoveValue();
+  snap = bm.Snapshot();
+  EXPECT_EQ(snap.frame_pool_bytes, 2 * kPageSize);
+  EXPECT_EQ(snap.frames_mapped, 2u);
+}
+
+// Drives a seeded random mix of every operation that takes or releases
+// memory, and checks after each step that the idle frames fit beside the
+// charged memory: resident page memory stays within the limit.
+TEST_F(BufferManagerTest, FramePoolStaysWithinTheLimit) {
+  constexpr idx_t kLimit = 24 * kPageSize;
+  BufferManager bm(temp_dir_, kLimit);
+  RandomEngine rng(20240513);
+  std::vector<std::shared_ptr<BlockHandle>> blocks;
+  std::vector<BufferHandle> pins;
+  std::vector<NonPagedAllocation> non_paged;
+  bool lowered = false;
+  idx_t lowerings = 0;
+  auto check = [&](const char *step) {
+    auto snap = bm.Snapshot();
+    // A limit lowered below the usage leaves usage above it for a while;
+    // no frame may sit idle then.
+    EXPECT_LE(snap.memory_used + snap.frame_pool_bytes,
+              std::max(snap.memory_limit, snap.memory_used))
+        << "after " << step;
+    // Every mapped frame is charged to a block or idle in the pool.
+    EXPECT_LE(snap.frames_mapped * kPageSize,
+              snap.memory_used + snap.frame_pool_bytes)
+        << "after " << step;
+  };
+  auto take = [&rng](auto &items) {
+    std::swap(items[rng.NextRange(items.size())], items.back());
+    auto item = std::move(items.back());
+    items.pop_back();
+    return item;
+  };
+  for (int step = 0; step < 3000; step++) {
+    switch (rng.NextRange(10)) {
+      case 0:
+      case 1:
+      case 2: {
+        if (blocks.size() >= 48) {
+          bm.DestroyBlock(take(blocks));
+        }
+        std::shared_ptr<BlockHandle> block;
+        auto res = bm.Allocate(kPageSize, &block);
+        if (res.ok()) {
+          blocks.push_back(block);
+          if (rng.NextRange(2) == 0 && pins.size() < 8) {
+            pins.push_back(res.MoveValue());
+          }
+        }
+        check("Allocate");
+        break;
+      }
+      case 3: {
+        if (!blocks.empty() && pins.size() < 8) {
+          auto res = bm.Pin(blocks[rng.NextRange(blocks.size())]);
+          if (res.ok()) {
+            pins.push_back(res.MoveValue());
+          }
+        }
+        check("Pin");
+        break;
+      }
+      case 4: {
+        if (!pins.empty()) {
+          take(pins);
+        }
+        check("Unpin");
+        break;
+      }
+      case 5: {
+        if (!blocks.empty()) {
+          bm.DestroyBlock(take(blocks));
+        }
+        check("DestroyBlock");
+        break;
+      }
+      case 6: {
+        // Forced eviction: a reservation larger than the headroom.
+        idx_t limit = bm.memory_limit();
+        idx_t used = bm.memory_used();
+        idx_t size = (limit > used ? limit - used : 0) + 2 * kPageSize;
+        if (bm.ReserveExternalMemory(size).ok()) {
+          check("forced eviction");
+          bm.FreeExternalMemory(size);
+        }
+        check("forced eviction");
+        break;
+      }
+      case 7: {
+        if (non_paged.size() < 3 && rng.NextRange(2) == 0) {
+          auto res = bm.AllocateNonPaged(kPageSize / 2 +
+                                         rng.NextRange(2 * kPageSize));
+          if (res.ok()) {
+            non_paged.push_back(res.MoveValue());
+          }
+        } else if (!non_paged.empty()) {
+          take(non_paged);
+        }
+        check("AllocateNonPaged");
+        break;
+      }
+      case 8: {
+        // Drop a block's last handle without DestroyBlock.
+        if (!blocks.empty()) {
+          take(blocks);
+        }
+        check("drop handle");
+        break;
+      }
+      default: {
+        if (lowered) {
+          bm.SetMemoryLimit(kLimit);
+        } else if (rng.NextRange(4) == 0) {
+          // To the current usage, or below it.
+          bm.SetMemoryLimit(bm.memory_used() / (1 + rng.NextRange(2)));
+          EXPECT_EQ(bm.Snapshot().frame_pool_bytes, 0u);
+          lowerings++;
+        }
+        lowered = bm.memory_limit() < kLimit;
+        check("SetMemoryLimit");
+        break;
+      }
+    }
+  }
+  pins.clear();
+  blocks.clear();
+  non_paged.clear();
+  auto snap = bm.Snapshot();
+  EXPECT_EQ(snap.memory_used, 0u);
+  EXPECT_EQ(snap.pinned_buffers, 0u);
+  EXPECT_EQ(snap.temp_file_size, 0u);
+  EXPECT_EQ(snap.frames_mapped * kPageSize, snap.frame_pool_bytes);
+  // The sequence exercised what it is meant to.
+  EXPECT_GT(lowerings, 0u);
+  EXPECT_GT(snap.evicted_temporary_count, 0u);
+  EXPECT_GT(snap.temp_reads, 0u);
+  EXPECT_GT(MetricsRegistry::Global().Snapshot()["bm.frame_pool_hits"], 0u);
+}
+
+// Frames are reused across queries instead of accumulating: with one worker
+// the allocation sequence repeats exactly, so after the first query the pool
+// already holds every frame later queries need.
+TEST_F(BufferManagerTest, RepeatedQueriesMapNoNewFrames) {
+  constexpr idx_t kRows = 200000;
+  constexpr idx_t kGroups = 50000;
+  BufferManager bm(temp_dir_, 64 * kMiB);
+  TaskExecutor executor(1);
+  HashAggregateConfig config;
+  config.strategy = AggregateStrategy::kRadixMerge;
+  idx_t after_first = 0;
+  for (int query = 1; query <= 20; query++) {
+    RangeSource source(
+        {LogicalTypeId::kInt64, LogicalTypeId::kInt64}, kRows,
+        [](DataChunk &chunk, idx_t start, idx_t count) {
+          for (idx_t i = 0; i < count; i++) {
+            auto row = static_cast<int64_t>(start + i);
+            chunk.column(0).SetValue<int64_t>(
+                i, row % static_cast<int64_t>(kGroups));
+            chunk.column(1).SetValue<int64_t>(i, row);
+          }
+          return Status::OK();
+        });
+    CountingCollector sink;
+    auto stats = RunGroupedAggregation(bm, source, {0},
+                                       {{AggregateKind::kSum, 1}}, sink,
+                                       executor, config);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    ASSERT_EQ(sink.TotalRows(), kGroups);
+    auto snap = bm.Snapshot();
+    ASSERT_EQ(snap.memory_used, 0u);
+    ASSERT_EQ(snap.temp_writes, 0u) << "the query must stay in memory";
+    if (query == 1) {
+      after_first = snap.frames_mapped;
+      EXPECT_GT(after_first, 0u);
+      EXPECT_LE(after_first, snap.memory_limit / kPageSize);
+    }
+    EXPECT_EQ(snap.frames_mapped, after_first) << "after query " << query;
+  }
+}
+
+#if defined(SSAGG_ASAN)
+// An idle frame is poisoned: a stale pointer into a destroyed block's page is
+// reported, as it was when the frame went back to free().
+TEST_F(BufferManagerTest, StaleWriteIntoPooledFrameIsReported) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        BufferManager bm(temp_dir_, 16 * kMiB);
+        std::shared_ptr<BlockHandle> block;
+        data_ptr_t stale;
+        {
+          auto h = bm.Allocate(kPageSize, &block).MoveValue();
+          stale = h.Ptr();
+        }
+        bm.DestroyBlock(block);
+        stale[kPageSize / 2] = 1;
+      },
+      "use-after-poison");
+}
+#endif
 
 TEST_F(BufferManagerTest, SnapshotTracksLoadedKinds) {
   BufferManager bm(temp_dir_, 16 * kMiB);
