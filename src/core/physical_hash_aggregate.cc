@@ -1,11 +1,25 @@
 #include "core/physical_hash_aggregate.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "observe/metrics.h"
 #include "observe/trace.h"
 
 namespace ssagg {
+
+namespace {
+
+/// Smallest entry array of a phase-2 or early-compaction table.
+constexpr idx_t kMinPartitionTableCapacity = 1024;
+/// Headroom on the planner's per-partition group estimate: partitions are
+/// not equally full, and the estimate itself is off by a few percent.
+constexpr double kGroupEstimateMargin = 1.5;
+/// The entry arrays of all threads' partition tables together take at most
+/// this fraction of the memory limit (they are non-paged charges).
+constexpr idx_t kPartitionTableLimitDivisor = 8;
+
+}  // namespace
 
 Result<std::unique_ptr<PhysicalHashAggregate>> PhysicalHashAggregate::Create(
     BufferManager &buffer_manager, std::vector<LogicalTypeId> input_types,
@@ -113,6 +127,7 @@ Result<std::unique_ptr<LocalSinkState>> PhysicalHashAggregate::InitLocal() {
   auto state = std::make_unique<LocalState>();
   SSAGG_RETURN_NOT_OK(MakePhase1Table(&state->ht));
   planner_->RegisterThread();
+  sink_threads_.fetch_add(1, std::memory_order_relaxed);
   return std::unique_ptr<LocalSinkState>(std::move(state));
 }
 
@@ -205,6 +220,33 @@ Status PhysicalHashAggregate::DemoteLocal(LocalState &local) {
   return MakePhase1Table(&local.ht);
 }
 
+idx_t PhysicalHashAggregate::PartitionTableCapacity(idx_t rows,
+                                                    idx_t threads) const {
+  // The row count is exact and never undercounts the groups; the estimate
+  // keeps a partition full of duplicates from an oversized table. A low
+  // estimate only costs resizes.
+  double groups = static_cast<double>(rows);
+  if (planner_->decided()) {
+    const double partitions = static_cast<double>(idx_t{1}
+                                                  << config_.radix_bits);
+    groups = std::min(groups, kGroupEstimateMargin *
+                                  static_cast<double>(
+                                      planner_->decision().estimated_groups) /
+                                  partitions);
+  }
+  // A resizable table grows when the groups plus an all-new chunk would
+  // reach the fill ratio; room for both means it never does.
+  const auto needed = static_cast<idx_t>(
+      (groups + static_cast<double>(kVectorSize)) / config_.reset_fill_ratio);
+  const idx_t budget = buffer_manager_.memory_limit() /
+                       kPartitionTableLimitDivisor /
+                       std::max<idx_t>(1, threads) / sizeof(uint64_t);
+  const idx_t cap = std::min(std::bit_floor(std::max<idx_t>(budget, 1)),
+                             idx_t{1} << kMaxHashTableBits);
+  return std::max(kMinPartitionTableCapacity,
+                  std::min(std::bit_ceil(needed + 1), cap));
+}
+
 Status PhysicalHashAggregate::MaybeEarlyAggregate(LocalState &local) {
   if (!local.ht || !planner_->ShouldEarlyAggregate()) {
     return Status::OK();
@@ -234,11 +276,13 @@ Status PhysicalHashAggregate::EarlyCompactLocal(LocalState &local) {
       continue;  // nothing worth compacting
     }
     GroupedAggregateHashTable::Config ht_config;
-    ht_config.capacity = config_.phase2_initial_capacity;
+    ht_config.capacity = PartitionTableCapacity(
+        part.Count(), sink_threads_.load(std::memory_order_relaxed));
     ht_config.radix_bits = 0;
     ht_config.resizable = true;
     ht_config.use_salt = config_.use_salt;
     ht_config.vectorized_probe = config_.vectorized_probe;
+    ht_config.reset_fill_ratio = config_.reset_fill_ratio;
     SSAGG_ASSIGN_OR_RETURN(
         auto compactor, GroupedAggregateHashTable::Create(
                             buffer_manager_, row_layout_, ht_config));
@@ -366,7 +410,8 @@ Status PhysicalHashAggregate::AggregatePartition(PartitionedTupleData &data,
   }
   TraceSpan span("phase2.partition", "agg", partition_idx);
   GroupedAggregateHashTable::Config ht_config;
-  ht_config.capacity = config_.phase2_initial_capacity;
+  ht_config.capacity =
+      PartitionTableCapacity(source.Count(), executor.num_threads());
   ht_config.radix_bits = 0;  // a phase-2 table is not repartitioned
   ht_config.resizable = true;
   ht_config.use_salt = config_.use_salt;

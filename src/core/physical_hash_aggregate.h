@@ -23,8 +23,6 @@ struct HashAggregateConfig {
   /// over-partitions so one fully aggregated partition per thread fits in
   /// memory during phase 2.
   idx_t radix_bits = 4;
-  /// Initial capacity of phase-2 (resizable) tables.
-  idx_t phase2_initial_capacity = 1024;
   bool use_salt = true;
   /// Ablation knob: route chunks through the vectorized probe pipeline
   /// (selection vectors, prefetch, batched inserts) instead of the
@@ -186,6 +184,14 @@ class PhysicalHashAggregate : public DataSink {
   /// load).
   void PublishPlannerEstimate();
 
+  /// Entry-array capacity for a table that will hold one partition of
+  /// `rows` materialized rows (phase 2 and early compaction), with up to
+  /// `threads` such tables built at once. Sized from min(rows, the
+  /// planner's per-partition group estimate with a margin) so the table
+  /// never resizes; capped so the threads' arrays together stay within an
+  /// eighth of the memory limit (a capped table grows as needed).
+  [[nodiscard]] idx_t PartitionTableCapacity(idx_t rows, idx_t threads) const;
+
   /// Runs the early-aggregation policy checks and compacts if they pass.
   Status MaybeEarlyAggregate(LocalState &local);
   /// Re-aggregates the thread's own partitions in place, collapsing
@@ -243,6 +249,8 @@ class PhysicalHashAggregate : public DataSink {
   /// Live introspection handle (optional, set by RunGroupedAggregation).
   std::atomic<QueryProgress *> progress_{nullptr};
   std::atomic<bool> progress_groups_published_{false};
+  /// Sink threads (InitLocal calls): how many may compact early at once.
+  std::atomic<idx_t> sink_threads_{0};
 
   mutable Mutex lock_{LockRank::kHashAggregate,
                       "PhysicalHashAggregate::lock_"};

@@ -7,6 +7,119 @@
 
 namespace ssagg {
 
+namespace {
+
+template <typename T>
+inline void StoreValue(data_ptr_t dst, T value) {
+  std::memcpy(dst, &value, sizeof(T));
+}
+
+template <typename T>
+inline T LoadValue(const_data_ptr_t src) {
+  T value;
+  std::memcpy(&value, src, sizeof(T));
+  return value;
+}
+
+/// Scatters one fixed-width column (T has the column's width) over a batch
+/// of reserved rows. A NULL clears the row's validity bit and zeroes the
+/// slot.
+template <typename T>
+void ScatterFixed(const Vector &vec, const idx_t *sel, idx_t count,
+                  const data_ptr_t *rows, idx_t offset,
+                  const TupleDataLayout &layout, idx_t col) {
+  const T *values = reinterpret_cast<const T *>(vec.data());
+  const ValidityMask &validity = vec.validity();
+  if (validity.AllValid()) {
+    if (sel) {
+      for (idx_t i = 0; i < count; i++) {
+        StoreValue<T>(rows[i] + offset, values[sel[i]]);
+      }
+    } else {
+      for (idx_t i = 0; i < count; i++) {
+        StoreValue<T>(rows[i] + offset, values[i]);
+      }
+    }
+    return;
+  }
+  for (idx_t i = 0; i < count; i++) {
+    const idx_t r = sel ? sel[i] : i;
+    if (validity.RowIsValid(r)) {
+      StoreValue<T>(rows[i] + offset, values[r]);
+    } else {
+      layout.RowSetColumnValid(rows[i], col, false);
+      StoreValue<T>(rows[i] + offset, T{});
+    }
+  }
+}
+
+/// Scatters one VARCHAR column: inlined strings are copied as they are,
+/// longer ones are copied to the row's reserved heap space (advancing
+/// heap_locations[i]) and stored with a pointer to that copy.
+void ScatterStrings(const Vector &vec, const idx_t *sel, idx_t count,
+                    const data_ptr_t *rows, idx_t offset,
+                    const TupleDataLayout &layout, idx_t col,
+                    data_ptr_t *heap_locations) {
+  const string_t *strings = vec.Values<string_t>();
+  const ValidityMask &validity = vec.validity();
+  for (idx_t i = 0; i < count; i++) {
+    const idx_t r = sel ? sel[i] : i;
+    data_ptr_t slot = rows[i] + offset;
+    if (!validity.RowIsValid(r)) {
+      layout.RowSetColumnValid(rows[i], col, false);
+      StoreValue(slot, string_t());
+      continue;
+    }
+    const string_t &s = strings[r];
+    if (s.IsInlined()) {
+      StoreValue(slot, s);
+      continue;
+    }
+    std::memcpy(heap_locations[i], s.data(), s.size());
+    StoreValue(slot, string_t(reinterpret_cast<const char *>(heap_locations[i]),
+                              s.size()));
+    heap_locations[i] += s.size();
+  }
+}
+
+/// Gathers one fixed-width column of `count` consecutive rows.
+template <typename T>
+void GatherFixed(const_data_ptr_t first_row, idx_t row_width, idx_t count,
+                 idx_t offset, const TupleDataLayout &layout, idx_t col,
+                 Vector &vec) {
+  T *values = reinterpret_cast<T *>(vec.data());
+  const_data_ptr_t row = first_row;
+  for (idx_t i = 0; i < count; i++, row += row_width) {
+    if (layout.RowIsColumnValid(row, col)) {
+      values[i] = LoadValue<T>(row + offset);
+    } else {
+      vec.validity().SetInvalid(i);
+      values[i] = T{};
+    }
+  }
+}
+
+/// Gathers one VARCHAR column. Non-inlined strings are copied into the
+/// vector's heap: the gathered chunk must stay valid after the scan unpins
+/// the heap page.
+void GatherStrings(const_data_ptr_t first_row, idx_t row_width, idx_t count,
+                   idx_t offset, const TupleDataLayout &layout, idx_t col,
+                   Vector &vec) {
+  string_t *values = vec.Values<string_t>();
+  const_data_ptr_t row = first_row;
+  for (idx_t i = 0; i < count; i++, row += row_width) {
+    if (!layout.RowIsColumnValid(row, col)) {
+      vec.validity().SetInvalid(i);
+      values[i] = string_t();
+      continue;
+    }
+    const auto s = LoadValue<string_t>(row + offset);
+    values[i] = s.IsInlined() ? s : vec.heap().Add(s.View());
+  }
+}
+
+}  // namespace
+
 idx_t TupleDataCollection::SizeInBytes() const {
   return count_ * layout_.RowWidth() + heap_bytes_;
 }
@@ -65,119 +178,167 @@ Status TupleDataCollection::NewHeapPage(TupleDataAppendState &state,
   return Status::OK();
 }
 
-idx_t TupleDataCollection::ComputeRowHeapSize(const DataChunk &input,
-                                              idx_t row) const {
-  idx_t total = 0;
+void TupleDataCollection::ComputeHeapSizes(const DataChunk &input,
+                                           const idx_t *sel, idx_t count) {
+  std::fill_n(heap_sizes_.begin(), count, idx_t{0});
   for (idx_t c : layout_.VarSizeColumns()) {
     const Vector &vec = input.column(c);
-    if (!vec.validity().RowIsValid(row)) {
-      continue;
-    }
-    const string_t &s = vec.Values<string_t>()[row];
-    if (!s.IsInlined()) {
-      total += s.size();
+    const string_t *strings = vec.Values<string_t>();
+    const ValidityMask &validity = vec.validity();
+    for (idx_t i = 0; i < count; i++) {
+      const idx_t r = sel ? sel[i] : i;
+      if (validity.RowIsValid(r) && !strings[r].IsInlined()) {
+        heap_sizes_[i] += strings[r].size();
+      }
     }
   }
-  return total;
+}
+
+Status TupleDataCollection::ReserveRows(TupleDataAppendState &state,
+                                        idx_t count, data_ptr_t *rows,
+                                        idx_t *reserved) {
+  const idx_t row_width = layout_.RowWidth();
+  const idx_t rows_per_page = layout_.RowsPerPage();
+  const bool has_heap = !layout_.AllConstantSize();
+  idx_t &done = *reserved;
+  done = 0;
+  // Looked up once per call: between calls the caller may release the pins,
+  // and a re-pinned heap page can come back at another address.
+  data_ptr_t heap_base = nullptr;
+  while (done < count) {
+    if (current_row_page_ == kInvalidIndex ||
+        row_pages_[current_row_page_].count >= rows_per_page) {
+      SSAGG_RETURN_NOT_OK(NewRowPage(state));
+    }
+    // One pin lookup for the whole run of rows that fit this page.
+    RowPage &page = row_pages_[current_row_page_];
+    SSAGG_ASSIGN_OR_RETURN(data_ptr_t page_base,
+                           GetRowPagePtr(state, current_row_page_));
+    const idx_t run = std::min(count - done, rows_per_page - page.count);
+    data_ptr_t row = page_base + page.count * row_width;
+    if (!has_heap) {
+      for (idx_t k = 0; k < run; k++) {
+        rows[done + k] = row + k * row_width;
+      }
+      page.count += run;
+      count_ += run;
+      done += run;
+      continue;
+    }
+    for (idx_t k = 0; k < run; k++, row += row_width) {
+      const idx_t heap_size = heap_sizes_[done];
+      if (heap_size > 0) {
+        // All of a row's heap data goes on one heap page, so one HeapRef
+        // covers the row.
+        if (current_heap_page_ == kInvalidIndex ||
+            heap_pages_[current_heap_page_].used + heap_size >
+                heap_pages_[current_heap_page_].size) {
+          SSAGG_RETURN_NOT_OK(NewHeapPage(state, heap_size));
+          heap_base = nullptr;
+        }
+        if (heap_base == nullptr) {
+          SSAGG_ASSIGN_OR_RETURN(heap_base,
+                                 GetHeapPagePtr(state, current_heap_page_));
+        }
+        HeapPage &heap = heap_pages_[current_heap_page_];
+        heap_locations_[done] = heap_base + heap.used;
+        heap.used += heap_size;
+        heap_bytes_ += heap_size;
+        // Extend the previous HeapRef if this row continues it, else start
+        // a new one (also when the page was re-pinned at a new base).
+        const auto base_val = reinterpret_cast<uint64_t>(heap_base);
+        const idx_t prow = page.count;
+        if (!page.heap_refs.empty() &&
+            page.heap_refs.back().heap_idx == current_heap_page_ &&
+            page.heap_refs.back().old_base == base_val &&
+            page.heap_refs.back().row_end == prow) {
+          page.heap_refs.back().row_end = prow + 1;
+        } else {
+          page.heap_refs.push_back(
+              HeapRef{current_heap_page_, base_val, prow, prow + 1});
+        }
+      }
+      rows[done] = row;
+      page.count++;
+      count_++;
+      done++;
+    }
+  }
+  return Status::OK();
+}
+
+void TupleDataCollection::ScatterRows(const DataChunk &input, const idx_t *sel,
+                                      idx_t count, const data_ptr_t *rows) {
+  // All columns valid by default; the column loops clear the bit per NULL.
+  const idx_t validity_bytes = layout_.ValidityBytes();
+  if (validity_bytes == 1) {
+    for (idx_t i = 0; i < count; i++) {
+      rows[i][0] = 0xFF;
+    }
+  } else {
+    for (idx_t i = 0; i < count; i++) {
+      std::memset(rows[i], 0xFF, validity_bytes);
+    }
+  }
+  for (idx_t c = 0; c < layout_.ColumnCount(); c++) {
+    const Vector &vec = input.column(c);
+    const idx_t offset = layout_.ColumnOffset(c);
+    if (TypeIsVarSize(layout_.ColumnType(c))) {
+      ScatterStrings(vec, sel, count, rows, offset, layout_, c,
+                     heap_locations_.data());
+      continue;
+    }
+    switch (TypeWidth(layout_.ColumnType(c))) {
+      case 1:
+        ScatterFixed<uint8_t>(vec, sel, count, rows, offset, layout_, c);
+        break;
+      case 4:
+        ScatterFixed<uint32_t>(vec, sel, count, rows, offset, layout_, c);
+        break;
+      case 8:
+        ScatterFixed<uint64_t>(vec, sel, count, rows, offset, layout_, c);
+        break;
+      default:
+        SSAGG_ASSERT(false);
+    }
+  }
+  // The aggregate-state area runs from an 8-aligned offset to the 8-aligned
+  // row end, so it is zeroed in whole words (the tail padding with it).
+  const idx_t aggr_offset = layout_.AggregateOffset();
+  const idx_t row_width = layout_.RowWidth();
+  if (layout_.AggregateWidth() > 0) {
+    for (idx_t i = 0; i < count; i++) {
+      for (idx_t w = aggr_offset; w < row_width; w += sizeof(uint64_t)) {
+        StoreValue<uint64_t>(rows[i] + w, 0);
+      }
+    }
+  }
 }
 
 Status TupleDataCollection::AppendRows(TupleDataAppendState &state,
                                        const DataChunk &input, const idx_t *sel,
                                        idx_t count, data_ptr_t *row_ptrs_out) {
-  const idx_t row_width = layout_.RowWidth();
-  const idx_t rows_per_page = layout_.RowsPerPage();
-  const idx_t validity_bytes = layout_.ValidityBytes();
-  const idx_t ncols = layout_.ColumnCount();
-
-  for (idx_t i = 0; i < count; i++) {
-    idx_t r = sel ? sel[i] : i;
-    idx_t heap_size = layout_.AllConstantSize() ? 0
-                                                : ComputeRowHeapSize(input, r);
-
-    // Make sure there is a row slot.
-    if (current_row_page_ == kInvalidIndex ||
-        row_pages_[current_row_page_].count >= rows_per_page) {
-      SSAGG_RETURN_NOT_OK(NewRowPage(state));
+  data_ptr_t *rows = row_ptrs_out;
+  if (rows == nullptr) {
+    if (row_locations_.size() < count) {
+      row_locations_.resize(count);
     }
-    // Make sure the row's entire heap data fits one heap page, so one
-    // HeapRef covers the row.
-    data_ptr_t heap_write = nullptr;
-    data_ptr_t heap_base = nullptr;
-    if (heap_size > 0) {
-      if (current_heap_page_ == kInvalidIndex ||
-          heap_pages_[current_heap_page_].used + heap_size >
-              heap_pages_[current_heap_page_].size) {
-        SSAGG_RETURN_NOT_OK(NewHeapPage(state, heap_size));
-      }
-      SSAGG_ASSIGN_OR_RETURN(heap_base,
-                             GetHeapPagePtr(state, current_heap_page_));
-      heap_write = heap_base + heap_pages_[current_heap_page_].used;
-    }
-
-    RowPage &page = row_pages_[current_row_page_];
-    SSAGG_ASSIGN_OR_RETURN(data_ptr_t page_base,
-                           GetRowPagePtr(state, current_row_page_));
-    idx_t prow = page.count;
-    data_ptr_t row = page_base + prow * row_width;
-
-    // All columns valid by default; cleared per NULL below.
-    std::memset(row, 0xFF, validity_bytes);
-
-    for (idx_t c = 0; c < ncols; c++) {
-      const Vector &vec = input.column(c);
-      idx_t offset = layout_.ColumnOffset(c);
-      idx_t width = TypeWidth(layout_.ColumnType(c));
-      bool valid = vec.validity().RowIsValid(r);
-      if (!valid) {
-        layout_.RowSetColumnValid(row, c, false);
-        std::memset(row + offset, 0, width);
-        continue;
-      }
-      if (!TypeIsVarSize(layout_.ColumnType(c))) {
-        std::memcpy(row + offset, vec.data() + r * width, width);
-        continue;
-      }
-      string_t s = vec.Values<string_t>()[r];
-      if (s.IsInlined()) {
-        std::memcpy(row + offset, &s, sizeof(string_t));
-      } else {
-        std::memcpy(heap_write, s.data(), s.size());
-        string_t stored(reinterpret_cast<char *>(heap_write), s.size());
-        std::memcpy(row + offset, &stored, sizeof(string_t));
-        heap_write += s.size();
-      }
-    }
-
-    if (layout_.AggregateWidth() > 0) {
-      std::memset(row + layout_.AggregateOffset(), 0,
-                  layout_.AggregateWidth());
-    }
-
-    if (heap_size > 0) {
-      HeapPage &heap = heap_pages_[current_heap_page_];
-      heap.used += heap_size;
-      heap_bytes_ += heap_size;
-      // Extend the previous HeapRef if this row continues it, else start a
-      // new one (also when the page was re-pinned at a new base).
-      auto base_val = reinterpret_cast<uint64_t>(heap_base);
-      if (!page.heap_refs.empty() &&
-          page.heap_refs.back().heap_idx == current_heap_page_ &&
-          page.heap_refs.back().old_base == base_val &&
-          page.heap_refs.back().row_end == prow) {
-        page.heap_refs.back().row_end = prow + 1;
-      } else {
-        page.heap_refs.push_back(
-            HeapRef{current_heap_page_, base_val, prow, prow + 1});
-      }
-    }
-
-    page.count++;
-    count_++;
-    if (row_ptrs_out) {
-      row_ptrs_out[i] = row;
-    }
+    rows = row_locations_.data();
   }
-  return Status::OK();
+  if (!layout_.AllConstantSize()) {
+    if (heap_sizes_.size() < count) {
+      heap_sizes_.resize(count);
+      heap_locations_.resize(count);
+    }
+    ComputeHeapSizes(input, sel, count);
+  }
+  // A failed page allocation ends the reservation early; the rows reserved
+  // before it are still written, so the collection never holds a row slot
+  // without its values.
+  idx_t reserved = 0;
+  Status status = ReserveRows(state, count, rows, &reserved);
+  ScatterRows(input, sel, reserved, rows);
+  return status;
 }
 
 void TupleDataCollection::InitScan(TupleDataScanState &state,
@@ -263,33 +424,33 @@ Status TupleDataCollection::PinPageWithHeap(
   return Status::OK();
 }
 
-void TupleDataCollection::GatherRows(const RowPage &page, data_ptr_t page_base,
-                                     idx_t row_idx, idx_t count,
-                                     DataChunk &out,
+void TupleDataCollection::GatherRows(data_ptr_t page_base, idx_t row_idx,
+                                     idx_t count, DataChunk &out,
                                      data_ptr_t *row_ptrs_out) {
-  (void)page;
   const idx_t row_width = layout_.RowWidth();
+  const_data_ptr_t first_row = page_base + row_idx * row_width;
   for (idx_t c = 0; c < layout_.ColumnCount(); c++) {
     Vector &vec = out.column(c);
-    idx_t offset = layout_.ColumnOffset(c);
-    idx_t width = TypeWidth(layout_.ColumnType(c));
-    bool varsize = TypeIsVarSize(layout_.ColumnType(c));
-    for (idx_t i = 0; i < count; i++) {
-      const_data_ptr_t row = page_base + (row_idx + i) * row_width;
-      if (!layout_.RowIsColumnValid(row, c)) {
-        vec.validity().SetInvalid(i);
-        std::memset(vec.data() + i * width, 0, width);
-        continue;
-      }
-      if (varsize) {
-        string_t s;
-        std::memcpy(&s, row + offset, sizeof(string_t));
-        // Copy through the output vector's heap: the gathered chunk must
-        // stay valid after the scan unpins the heap page.
-        vec.SetString(i, s.View());
-      } else {
-        std::memcpy(vec.data() + i * width, row + offset, width);
-      }
+    const idx_t offset = layout_.ColumnOffset(c);
+    if (TypeIsVarSize(layout_.ColumnType(c))) {
+      GatherStrings(first_row, row_width, count, offset, layout_, c, vec);
+      continue;
+    }
+    switch (TypeWidth(layout_.ColumnType(c))) {
+      case 1:
+        GatherFixed<uint8_t>(first_row, row_width, count, offset, layout_, c,
+                             vec);
+        break;
+      case 4:
+        GatherFixed<uint32_t>(first_row, row_width, count, offset, layout_, c,
+                              vec);
+        break;
+      case 8:
+        GatherFixed<uint64_t>(first_row, row_width, count, offset, layout_, c,
+                              vec);
+        break;
+      default:
+        SSAGG_ASSERT(false);
     }
   }
   if (row_ptrs_out) {
@@ -321,8 +482,7 @@ Result<bool> TupleDataCollection::Scan(TupleDataScanState &state,
     SSAGG_RETURN_NOT_OK(PinPageForScan(state));
   }
   idx_t count = std::min<idx_t>(kVectorSize, page.count - state.row_idx);
-  GatherRows(page, state.row_pin.Ptr(), state.row_idx, count, out,
-             row_ptrs_out);
+  GatherRows(state.row_pin.Ptr(), state.row_idx, count, out, row_ptrs_out);
   state.row_idx += count;
   return true;
 }

@@ -87,8 +87,15 @@ class TupleDataCollection {
   /// or 0..count-1 if sel is null). The first layout.ColumnCount() columns
   /// of `input` are materialized; the aggregate-state area is
   /// zero-initialized. Row addresses are returned in `row_ptrs_out`
-  /// (indexed by position in sel). The addresses stay valid while `state`
-  /// holds its pins.
+  /// (indexed by position in sel; may be null). The addresses stay valid
+  /// while `state` holds its pins.
+  ///
+  /// Batch-at-a-time: row slots (and each row's heap space) are reserved
+  /// first, one row-page lookup per run of rows that share a page; then
+  /// each column is scattered over the whole batch by a loop specialized
+  /// for its width. If a page allocation fails, the rows reserved before it
+  /// are still written and the error is returned. Allocation-free once the
+  /// collection has seen its largest batch (the scratch arrays only grow).
   Status AppendRows(TupleDataAppendState &state, const DataChunk &input,
                     const idx_t *sel, idx_t count, data_ptr_t *row_ptrs_out);
 
@@ -187,9 +194,21 @@ class TupleDataCollection {
   Status NewRowPage(TupleDataAppendState &state);
   Status NewHeapPage(TupleDataAppendState &state, idx_t min_size);
 
-  /// Heap bytes the given input row needs (total length of its non-inlined
-  /// strings).
-  idx_t ComputeRowHeapSize(const DataChunk &input, idx_t row) const;
+  /// Fills heap_sizes_[i] with the heap bytes input row sel[i] needs (the
+  /// total length of its non-inlined strings).
+  void ComputeHeapSizes(const DataChunk &input, const idx_t *sel, idx_t count);
+
+  /// Reserves `count` row slots into `rows` and, for string layouts, each
+  /// row's heap space into heap_locations_ (all of one row's heap bytes on
+  /// one heap page, recorded in the row page's HeapRefs). `*reserved`
+  /// counts the rows reserved when an allocation fails.
+  Status ReserveRows(TupleDataAppendState &state, idx_t count,
+                     data_ptr_t *rows, idx_t *reserved);
+
+  /// Writes validity, column values and zeroed aggregate states of the
+  /// first `count` batch rows into their reserved slots.
+  void ScatterRows(const DataChunk &input, const idx_t *sel, idx_t count,
+                   const data_ptr_t *rows);
 
   /// Unpins the current scan page, optionally destroying it (and any heap
   /// pages whose last user it was), and advances the cursor.
@@ -207,9 +226,10 @@ class TupleDataCollection {
   Status PinPageWithHeap(idx_t page_idx, BufferHandle &row_pin,
                          std::vector<BufferHandle> &heap_pins);
 
-  /// Gathers rows [row_idx, row_idx + count) of the pinned page into out.
-  void GatherRows(const RowPage &page, data_ptr_t page_base, idx_t row_idx,
-                  idx_t count, DataChunk &out, data_ptr_t *row_ptrs_out);
+  /// Gathers rows [row_idx, row_idx + count) of the pinned page into out,
+  /// one column at a time with a loop specialized for the column's width.
+  void GatherRows(data_ptr_t page_base, idx_t row_idx, idx_t count,
+                  DataChunk &out, data_ptr_t *row_ptrs_out);
 
   BufferManager &buffer_manager_;
   TupleDataLayout layout_;
@@ -221,6 +241,12 @@ class TupleDataCollection {
   /// fresh page is needed).
   idx_t current_row_page_ = kInvalidIndex;
   idx_t current_heap_page_ = kInvalidIndex;
+  /// AppendRows scratch, indexed by batch position: row addresses (when the
+  /// caller wants none back), heap bytes per row and each row's next heap
+  /// write position.
+  std::vector<data_ptr_t> row_locations_;
+  std::vector<idx_t> heap_sizes_;
+  std::vector<data_ptr_t> heap_locations_;
 };
 
 }  // namespace ssagg

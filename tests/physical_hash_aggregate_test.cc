@@ -4,9 +4,12 @@
 
 #include <unistd.h>
 
+#include <atomic>
+#include <bit>
 #include <map>
 
 #include "common/file_system.h"
+#include "common/hash.h"
 #include "core/run_aggregation.h"
 #include "execution/collectors.h"
 #include "execution/range_source.h"
@@ -217,6 +220,170 @@ TEST_P(HashAggregateE2ETest, EmptyInput) {
 
 INSTANTIATE_TEST_SUITE_P(Threads, HashAggregateE2ETest,
                          ::testing::Values(1, 2, 4));
+
+// Phase-2 (and early-compaction) tables are created at the capacity their
+// partition needs: min(rows, 1.5 x the planner's group estimate per
+// partition), so they neither resize nor take an entry array sized for
+// duplicates that collapse.
+class PartitionTableSizingTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    temp_dir_ = ::testing::TempDir() + "ssagg_sizing_test_" +
+                std::to_string(::getpid());
+    (void)FileSystem::Default().CreateDirectories(temp_dir_);
+  }
+  std::string temp_dir_;
+};
+
+// [int64 key, int64 value] with key = key_of(row) and value = row.
+template <typename KeyFn>
+RangeSource MakeKeyedSource(idx_t total_rows, KeyFn key_of) {
+  return RangeSource(
+      {LogicalTypeId::kInt64, LogicalTypeId::kInt64}, total_rows,
+      [key_of](DataChunk &chunk, idx_t start, idx_t count) {
+        for (idx_t i = 0; i < count; i++) {
+          const idx_t row = start + i;
+          chunk.column(0).SetValue<int64_t>(i, key_of(row));
+          chunk.column(1).SetValue<int64_t>(i, static_cast<int64_t>(row));
+        }
+        return Status::OK();
+      });
+}
+
+// Checks SUM(value) and COUNT(*) per key against a reference built from the
+// same key function.
+template <typename KeyFn>
+void CheckKeyedSums(const MaterializedCollector &collector, idx_t total_rows,
+                    KeyFn key_of) {
+  std::map<int64_t, std::pair<int64_t, int64_t>> expected;
+  for (idx_t row = 0; row < total_rows; row++) {
+    auto &entry = expected[key_of(row)];
+    entry.first += static_cast<int64_t>(row);
+    entry.second++;
+  }
+  ASSERT_EQ(collector.RowCount(), expected.size());
+  for (const auto &row : collector.rows()) {
+    auto it = expected.find(row[0].GetInt64());
+    ASSERT_NE(it, expected.end()) << "unexpected group " << row[0].GetInt64();
+    EXPECT_EQ(row[1].GetInt64(), it->second.first);
+    EXPECT_EQ(row[2].GetInt64(), it->second.second);
+    expected.erase(it);
+  }
+  EXPECT_TRUE(expected.empty());
+}
+
+// Records the buffer manager's non-paged bytes while results are emitted:
+// at that point the only non-paged charge is the entry array of the
+// phase-2 table whose partition is being pushed.
+class NonPagedProbeCollector : public MaterializedCollector {
+ public:
+  explicit NonPagedProbeCollector(BufferManager &bm) : bm_(bm) {}
+
+  Status Sink(DataChunk &chunk, LocalSinkState &state) override {
+    const idx_t bytes = bm_.Snapshot().non_paged_bytes;
+    idx_t seen = max_non_paged_.load(std::memory_order_relaxed);
+    while (bytes > seen &&
+           !max_non_paged_.compare_exchange_weak(seen, bytes,
+                                                 std::memory_order_relaxed)) {
+    }
+    return MaterializedCollector::Sink(chunk, state);
+  }
+
+  idx_t MaxNonPagedBytes() const {
+    return max_non_paged_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  BufferManager &bm_;
+  std::atomic<idx_t> max_non_paged_{0};
+};
+
+const std::vector<AggregateRequest> kSumCount = {
+    {AggregateKind::kSum, 1}, {AggregateKind::kCountStar, kInvalidIndex}};
+
+TEST_F(PartitionTableSizingTest, AllUniqueKeysNeverResize) {
+  // 8 partitions of ~12.5k groups each: a 1,024-slot start would double
+  // four times per partition.
+  BufferManager bm(temp_dir_, 512 * kPageSize);
+  TaskExecutor executor(2);
+  constexpr idx_t kRows = 100000;
+  auto key_of = [](idx_t row) { return static_cast<int64_t>(row); };
+  auto source = MakeKeyedSource(kRows, key_of);
+  MaterializedCollector collector;
+  HashAggregateConfig config;
+  config.strategy = AggregateStrategy::kRadixMerge;
+  config.radix_bits = 3;
+  auto stats = RunGroupedAggregation(bm, source, {0}, kSumCount, collector,
+                                     executor, config);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  CheckKeyedSums(collector, kRows, key_of);
+  EXPECT_EQ(stats.value().ht.resizes, 0u);
+}
+
+TEST_F(PartitionTableSizingTest, DuplicateHeavyPartitionsAreSizedFromGroups) {
+  // 10k groups, 16 rows each on average, in random order. A 1,024-entry
+  // phase-1 table resets every ~680 groups, so nearly every row reaches
+  // phase 2 as its own materialized row. The 32k-row sample sees each
+  // group ~3 times: it is not saturated and the estimate is close.
+  BufferManager bm(temp_dir_, 512 * kPageSize);
+  TaskExecutor executor(1);
+  constexpr idx_t kRows = 160000;
+  constexpr idx_t kGroups = 10000;
+  constexpr idx_t kRadixBits = 2;
+  auto key_of = [](idx_t row) {
+    return static_cast<int64_t>(HashUint64(row) % kGroups);
+  };
+  auto source = MakeKeyedSource(kRows, key_of);
+  NonPagedProbeCollector collector(bm);
+  HashAggregateConfig config;
+  config.strategy = AggregateStrategy::kRadixMerge;
+  config.radix_bits = kRadixBits;
+  config.phase1_capacity = 1024;
+  auto stats = RunGroupedAggregation(bm, source, {0}, kSumCount, collector,
+                                     executor, config);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  CheckKeyedSums(collector, kRows, key_of);
+  const HashAggregateStats &s = stats.value();
+  ASSERT_GT(s.materialized_rows, 8 * s.unique_groups)
+      << "phase 2 must see the duplicates";
+  EXPECT_LT(s.planner.estimated_groups, 2 * kGroups);
+  // Big enough for the groups: no partition table resized...
+  EXPECT_EQ(s.ht.resizes, 0u);
+  // ...and far smaller than an array sized for the rows would be.
+  const idx_t rows_per_partition = s.materialized_rows >> kRadixBits;
+  const idx_t row_sized_bytes =
+      std::bit_ceil(rows_per_partition + kVectorSize) * sizeof(uint64_t);
+  EXPECT_GT(collector.MaxNonPagedBytes(), 0u);
+  EXPECT_LE(2 * collector.MaxNonPagedBytes(), row_sized_bytes)
+      << "entry array of " << collector.MaxNonPagedBytes()
+      << " B for " << rows_per_partition << " rows per partition";
+}
+
+TEST_F(PartitionTableSizingTest, LowEstimateOnlyCostsResizes) {
+  // The sampled first 32k rows cycle through 8 keys; every later row is a
+  // new group. The estimate is far too low, so the tables start small and
+  // grow; the answer stays exact.
+  BufferManager bm(temp_dir_, 512 * kPageSize);
+  TaskExecutor executor(1);
+  constexpr idx_t kRows = 120000;
+  constexpr idx_t kSampledRows = 32768;
+  auto key_of = [](idx_t row) {
+    return static_cast<int64_t>(row < kSampledRows ? row % 8 : row);
+  };
+  auto source = MakeKeyedSource(kRows, key_of);
+  MaterializedCollector collector;
+  HashAggregateConfig config;
+  config.strategy = AggregateStrategy::kRadixMerge;
+  config.radix_bits = 3;
+  config.planner_sample_rows = kSampledRows;
+  auto stats = RunGroupedAggregation(bm, source, {0}, kSumCount, collector,
+                                     executor, config);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  CheckKeyedSums(collector, kRows, key_of);
+  const idx_t groups = 8 + (kRows - kSampledRows);
+  EXPECT_EQ(stats.value().unique_groups, groups);
+  EXPECT_LT(stats.value().planner.estimated_groups, groups / 10);
+}
 
 }  // namespace
 }  // namespace ssagg
