@@ -31,6 +31,10 @@
 # central merge for a handful of groups and the radix plan for ~1M groups
 # (DESIGN.md section 11), with its decision visible in the profile JSON.
 #
+# Copy guard: the radix run of the strategy smoke and the spilling run of
+# the profile smoke group unique input, so phase 2 must take every
+# partition in place and copy none of its rows (DESIGN.md section 4).
+#
 # The plain build also runs an observe smoke step (DESIGN.md section 12):
 # a spilling query must surface nonzero spill-latency percentiles in its
 # profile histograms, and a fault-injection run under SSAGG_FLIGHT_DUMP
@@ -83,6 +87,12 @@ counters = doc["result"]["profile"]["counters"]
 spilled = counters.get("io.spill_bytes_written", 0)
 assert spilled > 0, f"profile saw no spill: {counters}"
 assert counters.get("io.spill_bytes_read", 0) > 0, "nothing read back"
+# Copy guard: unique groups are grouped in place in phase 2, even when the
+# partitions were spilled; phase 2 copies none of their rows.
+assert counters.get("agg.phase2_copied_rows") == 0, \
+    f"phase 2 copied rows of unique input: {counters}"
+assert counters.get("agg.phase2_in_place_partitions", 0) > 0, \
+    f"no phase-2 partition went in place: {counters}"
 with open(trace_path) as f:
     trace = json.load(f)
 events = trace["traceEvents"]
@@ -180,6 +190,12 @@ for name, expected, label in (("low", 1, "central"), ("high", 3, "radix")):
     assert chosen == expected, \
         f"{name}-cardinality query chose strategy {chosen}, wanted {label}: " \
         f"estimated_groups={estimated}"
+    if name == "high":
+        # Copy guard: the radix plan groups unique partitions in place.
+        copied = counters.get("agg.phase2_copied_rows")
+        in_place = counters.get("agg.phase2_in_place_partitions", 0)
+        assert copied == 0 and in_place > 0, \
+            f"phase 2 copied {copied} rows, {in_place} partitions in place"
     print(f"strategy smoke ok [{name}]: chose {label}, "
           f"estimated {estimated} groups")
 EOF

@@ -316,6 +316,7 @@ void BufferManager::SetEvictionPolicy(EvictionPolicy policy) {
     }
     queue.clear();
   }
+  purged_length_[0] = purged_length_[1] = 0;
   policy_ = policy;
   for (auto &entry : all) {
     auto handle = entry.handle.lock();
@@ -361,7 +362,8 @@ void BufferManager::DischargeSpillQuota(BlockHandle &block) {
 
 Result<std::unique_ptr<FileBuffer>>
 // SAFETY: see the rationale above.
-BufferManager::EvictBlocks(idx_t reuse_size, const GrantState *only_grant)
+BufferManager::EvictBlocks(idx_t request_size, idx_t reuse_size,
+                           const GrantState *only_grant)
     SSAGG_NO_THREAD_SAFETY_ANALYSIS {
   // Lock-holder accounting for the dry-queue back-off below. Only threads
   // that currently *hold* candidate locks count: a scan that merely pops and
@@ -574,7 +576,11 @@ BufferManager::EvictBlocks(idx_t reuse_size, const GrantState *only_grant)
       oom_rejections_.fetch_add(1, std::memory_order_relaxed);
       MetricsRegistry::Global().Add(key_oom_rejections_, 1);
       record_selection();
-      TraceInstant("oom_rejection", "bm");
+      // The refused request, and beside it what holds the pool.
+      TraceInstant("oom_rejection", "bm", request_size);
+      TraceCounter("bm.memory_used",
+                   memory_used_.load(std::memory_order_relaxed));
+      TraceCounter("bm.pinned_buffers", PinnedBufferCount());
       SSAGG_LOG_INFO(
           "reservation rejected: memory limit %llu exceeded (%llu used) and "
           "no page can be evicted",
@@ -717,7 +723,7 @@ Result<std::unique_ptr<FileBuffer>> BufferManager::ReserveMemory(
     idx_t stalls = 0;
     while (!charged.ok()) {
       idx_t used_before = grant->used();
-      auto evicted = EvictBlocks(/*reuse_size=*/0, grant);
+      auto evicted = EvictBlocks(size, /*reuse_size=*/0, grant);
       if (!evicted.ok()) {
         if (!evicted.status().IsOutOfMemory()) {
           return evicted.status();  // I/O failure while spilling ourselves
@@ -769,7 +775,7 @@ Result<std::unique_ptr<FileBuffer>> BufferManager::ReserveMemory(
     bool allow_reuse =
         want_buffer && memory_used_.load(std::memory_order_relaxed) <=
                            memory_limit_.load(std::memory_order_relaxed);
-    auto evicted = EvictBlocks(allow_reuse ? size : 0);
+    auto evicted = EvictBlocks(size, allow_reuse ? size : 0);
     if (!evicted.ok()) {
       return discharge_on_error(evicted.status());
     }
@@ -1017,6 +1023,8 @@ void BufferManager::UnloadBlock(BlockHandle &block) {
 }
 
 void BufferManager::Unpin(BlockHandle &block) {
+  // Declared first so that it is released after both locks.
+  std::vector<std::shared_ptr<BlockHandle>> upgraded;
   ScopedLock lock(block.lock_);
   int32_t readers = block.readers_.fetch_sub(1, std::memory_order_relaxed) - 1;
   pinned_buffers_.fetch_sub(1, std::memory_order_relaxed);
@@ -1035,8 +1043,31 @@ void BufferManager::Unpin(BlockHandle &block) {
   ScopedLock guard(queue_lock_);
   // weak_from_this is never expired here: the caller (BufferHandle) still
   // holds a shared_ptr.
-  queues_[QueueIndexLocked(block.kind_)].push_back(
-      EvictionEntry{block.weak_from_this(), seq});
+  const idx_t qi = QueueIndexLocked(block.kind_);
+  queues_[qi].push_back(EvictionEntry{block.weak_from_this(), seq});
+  PurgeQueueLocked(qi, &upgraded);
+}
+
+void BufferManager::PurgeQueueLocked(
+    idx_t qi, std::vector<std::shared_ptr<BlockHandle>> *upgraded) {
+  // Short queues are left alone; past that, each purge is paid for by the
+  // appends that doubled the queue.
+  constexpr idx_t kMinPurgeLength = 256;
+  auto &queue = queues_[qi];
+  if (queue.size() < 2 * std::max(purged_length_[qi], kMinPurgeLength)) {
+    return;
+  }
+  std::erase_if(queue, [&](const EvictionEntry &entry) {
+    auto handle = entry.handle.lock();
+    if (!handle) {
+      return true;
+    }
+    const bool stale =
+        handle->eviction_seq_.load(std::memory_order_relaxed) != entry.seq;
+    upgraded->push_back(std::move(handle));
+    return stale;
+  });
+  purged_length_[qi] = queue.size();
 }
 
 void BufferManager::DestroyBlock(const std::shared_ptr<BlockHandle> &handle) {
@@ -1112,7 +1143,12 @@ Result<NonPagedAllocation> BufferManager::AllocateNonPaged(idx_t size) {
     return Status::OutOfMemory("cannot allocate " + std::to_string(size) +
                                " non-paged bytes");
   }
-  non_paged_bytes_.fetch_add(size, std::memory_order_relaxed);
+  const idx_t charged =
+      non_paged_bytes_.fetch_add(size, std::memory_order_relaxed) + size;
+  idx_t peak = non_paged_peak_.load(std::memory_order_relaxed);
+  while (charged > peak && !non_paged_peak_.compare_exchange_weak(
+                               peak, charged, std::memory_order_relaxed)) {
+  }
   return NonPagedAllocation(
       this, data, size, grant != nullptr ? grant->shared_from_this() : nullptr);
 }
@@ -1142,6 +1178,7 @@ BufferManagerSnapshot BufferManager::Snapshot() const {
   snap.temporary_bytes_in_memory =
       temporary_loaded_bytes_.load(std::memory_order_relaxed);
   snap.non_paged_bytes = non_paged_bytes_.load(std::memory_order_relaxed);
+  snap.non_paged_peak = non_paged_peak_.load(std::memory_order_relaxed);
   snap.temp_file_size = temp_files_.CurrentSize();
   snap.temp_file_peak = temp_files_.PeakSize();
   snap.evicted_persistent_count =
@@ -1173,6 +1210,10 @@ BufferManagerSnapshot BufferManager::Snapshot() const {
   }
   snap.frames_mapped = frames_mapped_.load(std::memory_order_relaxed);
   snap.pinned_buffers = PinnedBufferCount();
+  {
+    ScopedLock guard(queue_lock_);
+    snap.eviction_queue_entries = queues_[0].size() + queues_[1].size();
+  }
   return snap;
 }
 

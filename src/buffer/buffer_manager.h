@@ -40,6 +40,8 @@ struct BufferManagerSnapshot {
   idx_t persistent_bytes_in_memory = 0;
   idx_t temporary_bytes_in_memory = 0;
   idx_t non_paged_bytes = 0;
+  /// Most non-paged bytes charged at once since the pool was created.
+  idx_t non_paged_peak = 0;
   idx_t temp_file_size = 0;
   idx_t temp_file_peak = 0;
   idx_t evicted_persistent_count = 0;
@@ -76,6 +78,9 @@ struct BufferManagerSnapshot {
   /// once no query state is alive — the no-leak invariant the fault suite
   /// asserts after every injected failure.
   idx_t pinned_buffers = 0;
+  /// Entries in the eviction queues, live or dead (dead ones are dropped
+  /// lazily, once a queue has doubled since its last purge).
+  idx_t eviction_queue_entries = 0;
 };
 
 /// RAII owner of a non-paged allocation (Section III): any-size, not
@@ -326,8 +331,23 @@ class BufferManager {
   /// neighbours). Blocks whose grant is out of per-query spill quota are
   /// skipped like in-memory-only pages: with nothing else evictable the
   /// reservation fails with OutOfMemory, isolating the quota breach.
+  ///
+  /// `request_size` is the reservation being made; a refusal records it as
+  /// the value of the flight recorder's oom_rejection event.
   Result<std::unique_ptr<FileBuffer>> EvictBlocks(
-      idx_t reuse_size, const GrantState *only_grant = nullptr);
+      idx_t request_size, idx_t reuse_size,
+      const GrantState *only_grant = nullptr);
+
+  /// Each unpin appends an eviction candidate, and the entries of blocks
+  /// since re-pinned or dropped stay behind until an eviction scan reaches
+  /// them — which, while nothing is evicted, is never. So once queue `qi`
+  /// has doubled since its last purge, this drops its dead entries (expired
+  /// handle or stale sequence number), keeping live ones in order. Every
+  /// handle it upgrades goes to `upgraded`, which the caller releases after
+  /// its locks: dropping a block's last reference takes the block's lock.
+  void PurgeQueueLocked(idx_t qi,
+                        std::vector<std::shared_ptr<BlockHandle>> *upgraded)
+      SSAGG_REQUIRES(queue_lock_);
 
   /// Returns a loaded block's resident charge to its grant, if any. Called
   /// at every point the block's buffer is freed or its charge transferred.
@@ -377,6 +397,7 @@ class BufferManager {
   std::atomic<idx_t> persistent_loaded_bytes_{0};
   std::atomic<idx_t> temporary_loaded_bytes_{0};
   std::atomic<idx_t> non_paged_bytes_{0};
+  std::atomic<idx_t> non_paged_peak_{0};
   std::atomic<block_id_t> next_temp_block_id_{0};
 
   /// Protects the eviction queues and the policy that maps blocks to them.
@@ -386,6 +407,8 @@ class BufferManager {
                             "BufferManager::queue_lock_"};
   EvictionPolicy policy_ SSAGG_GUARDED_BY(queue_lock_);
   std::deque<EvictionEntry> queues_[2] SSAGG_GUARDED_BY(queue_lock_);
+  /// Length of each queue after its last purge of dead entries.
+  idx_t purged_length_[2] SSAGG_GUARDED_BY(queue_lock_) = {0, 0};
 
   /// Threads inside EvictBlocks that currently hold candidate block locks
   /// (a spill batch being gathered or written). A reservation that finds

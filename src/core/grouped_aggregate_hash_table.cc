@@ -183,9 +183,14 @@ Status GroupedAggregateHashTable::FindOrCreateGroupsScalar(
       uint64_t entry = table[idx];
       if (entry == 0) {
         // New group: materialize the row directly into its radix partition
-        // (column-major -> row-major conversion happens here).
-        SSAGG_ASSIGN_OR_RETURN(data_ptr_t row,
-                               data_->AppendRow(layout_chunk, h, r));
+        // (column-major -> row-major conversion happens here), or in place,
+        // take the source row itself.
+        data_ptr_t row;
+        if (in_place_rows_ != nullptr) {
+          row = in_place_rows_[r];
+        } else {
+          SSAGG_ASSIGN_OR_RETURN(row, data_->AppendRow(layout_chunk, h, r));
+        }
         table[idx] = MakeEntry(row, salt);
         count_++;
         stats_.inserts++;
@@ -296,12 +301,19 @@ Status GroupedAggregateHashTable::FindOrCreateGroupsVectorized(
 
     // One batched, partition-aware append materializes every new group of
     // the round (column-major -> row-major conversion happens here), then
-    // the claimed entries are backfilled with the row addresses.
+    // the claimed entries are backfilled with the row addresses. In place,
+    // each new group's row is its source row.
     if (!new_group_sel_.empty()) {
       const idx_t new_count = new_group_sel_.size();
-      SSAGG_RETURN_NOT_OK(data_->Append(layout_chunk, hashes,
-                                        new_group_sel_.data(), new_count,
-                                        new_row_ptrs_.data()));
+      if (in_place_rows_ != nullptr) {
+        for (idx_t i = 0; i < new_count; i++) {
+          new_row_ptrs_[i] = in_place_rows_[new_group_sel_[i]];
+        }
+      } else {
+        SSAGG_RETURN_NOT_OK(data_->Append(layout_chunk, hashes,
+                                          new_group_sel_.data(), new_count,
+                                          new_row_ptrs_.data()));
+      }
       for (idx_t i = 0; i < new_count; i++) {
         const idx_t r = new_group_sel_[i];
         table[ht_offsets_[r]] = MakeEntry(new_row_ptrs_[i], salts_[r]);
@@ -533,6 +545,45 @@ Status GroupedAggregateHashTable::CombineSourceChunk(
   return Status::OK();
 }
 
+Status GroupedAggregateHashTable::CombineInPlace(const DataChunk &layout_chunk,
+                                                 data_ptr_t *src_rows,
+                                                 idx_t first_row,
+                                                 uint64_t *absorbed) {
+  const idx_t count = layout_chunk.size();
+  if (count == 0) {
+    return Status::OK();
+  }
+  static_assert(sizeof(hash_t) == sizeof(int64_t));
+  const auto *hashes = reinterpret_cast<const hash_t *>(
+      layout_chunk.column(row_layout_.hash_column).data());
+  in_place_rows_ = src_rows;
+  Status status = FindOrCreateGroups(layout_chunk, hashes, 0, count);
+  in_place_rows_ = nullptr;
+  SSAGG_RETURN_NOT_OK(status);
+  // A row that started a group is that group's row already; every other
+  // row is folded into its group's row and skipped at emission.
+  idx_t folded = 0;
+  for (idx_t i = 0; i < count; i++) {
+    if (row_ptrs_[i] != src_rows[i]) {
+      sel_scratch_[folded++] = i;
+      const idx_t ordinal = first_row + i;
+      absorbed[ordinal / 64] |= uint64_t{1} << (ordinal % 64);
+    }
+  }
+  const idx_t aggr_offset = row_layout_.layout.AggregateOffset();
+  for (const auto &agg : row_layout_.aggregates) {
+    if (agg.sticky) {
+      continue;  // first-wins: the group's row holds the first value
+    }
+    const idx_t offset = aggr_offset + agg.state_offset;
+    for (idx_t k = 0; k < folded; k++) {
+      const idx_t i = sel_scratch_[k];
+      agg.function.combine(src_rows[i] + offset, row_ptrs_[i] + offset);
+    }
+  }
+  return Status::OK();
+}
+
 void GroupedAggregateHashTable::Stats::Merge(const Stats &other) {
   probe_steps += other.probe_steps;
   key_compares += other.key_compares;
@@ -562,12 +613,19 @@ void GroupedAggregateHashTable::ClearPointerTable() {
   data_->ReleaseAppendPins();
 }
 
+void GroupedAggregateHashTable::ReleasePointerTable() {
+  entries_alloc_.Reset();
+  capacity_ = 0;
+  mask_ = 0;
+  data_->ReleaseAppendPins();
+}
+
 Status GroupedAggregateHashTable::Resize() {
   SSAGG_ASSERT(config_.resizable);
   TraceSpan span("ht.resize", "agg", capacity_ * 2);
-  // In a resizable table the pointer table is never reset, so every
-  // materialized row is reachable and carries its hash: rebuild by visiting
-  // all rows.
+  // In a resizable table the pointer table is never reset, so every group
+  // has an entry, and its row (pinned by the table or, in place, by the
+  // caller) carries the hash: rebuild from the old array.
   idx_t new_capacity = capacity_ * 2;
   if (new_capacity > (idx_t(1) << kMaxHashTableBits)) {
     return Status::OutOfMemory(
@@ -576,25 +634,27 @@ Status GroupedAggregateHashTable::Resize() {
   SSAGG_ASSIGN_OR_RETURN(auto new_alloc,
                          buffer_manager_.AllocateNonPaged(new_capacity * 8));
   std::memset(new_alloc.data(), 0, new_capacity * 8);
+  const uint64_t *old_table = entries();
+  auto *table = reinterpret_cast<uint64_t *>(new_alloc.data());
+  const idx_t hash_offset = row_layout_.hash_offset;
+  const idx_t mask = new_capacity - 1;
+  for (idx_t i = 0; i < capacity_; i++) {
+    const uint64_t entry = old_table[i];
+    if (entry == 0) {
+      continue;
+    }
+    hash_t h;
+    std::memcpy(&h, EntryPointer(entry) + hash_offset, sizeof(hash_t));
+    idx_t idx = h & mask;
+    while (table[idx] != 0) {
+      idx = (idx + 1) & mask;
+    }
+    table[idx] = entry;
+  }
   entries_alloc_ = std::move(new_alloc);
   capacity_ = new_capacity;
-  mask_ = new_capacity - 1;
+  mask_ = mask;
   stats_.resizes++;
-
-  uint64_t *table = entries();
-  const idx_t hash_offset = row_layout_.hash_offset;
-  const idx_t mask = mask_;
-  for (idx_t p = 0; p < data_->PartitionCount(); p++) {
-    SSAGG_RETURN_NOT_OK(data_->ForEachRowInPartition(p, [&](data_ptr_t row) {
-      hash_t h;
-      std::memcpy(&h, row + hash_offset, sizeof(hash_t));
-      idx_t idx = h & mask;
-      while (table[idx] != 0) {
-        idx = (idx + 1) & mask;
-      }
-      table[idx] = MakeEntry(row, ExtractSalt(h));
-    }));
-  }
   return Status::OK();
 }
 
@@ -613,6 +673,8 @@ void GroupedAggregateHashTable::FinalizeChunk(const DataChunk &layout_chunk,
       CopyVectorShallow(layout_chunk.column(agg.layout_column), result, count);
       continue;
     }
+    // Finalize marks NULL results only: clear the previous chunk's marks.
+    result.validity().Reset();
     idx_t offset = aggr_offset + agg.state_offset;
     for (idx_t i = 0; i < count; i++) {
       agg.function.finalize(row_ptrs[i] + offset, result, i);

@@ -21,10 +21,12 @@ namespace ssagg {
 ///   - the rows (group keys + hash + sticky payload + aggregate states)
 ///     are materialized directly into a radix-partitioned, buffer-managed,
 ///     spillable page layout: the conversion from column-major input to
-///     row-major storage happens while partitioning, and tuples are never
-///     copied again;
+///     row-major storage happens while partitioning. A phase-2 partition
+///     that is grouped in place (CombineInPlace) is never copied again: its
+///     groups are its own first rows;
 ///   - the group's hash is stored as a hidden layout column, so phase 2
-///     never rehashes and resize can rebuild the pointer table from rows.
+///     never rehashes and resize rebuilds the pointer table from the
+///     entries' rows.
 ///
 /// The table is single-writer (each execution thread owns one).
 class GroupedAggregateHashTable {
@@ -103,6 +105,17 @@ class GroupedAggregateHashTable {
   Status CombineSourceChunk(const DataChunk &layout_chunk,
                             data_ptr_t *src_rows);
 
+  /// Phase 2 in place: groups rows of another table's materialized data
+  /// without copying them. `layout_chunk` holds the rows' group and hash
+  /// columns (the others are not read) and `src_rows` their addresses,
+  /// which must stay pinned until the groups are emitted. A row whose group
+  /// is new becomes the group's row; a row whose group exists is folded
+  /// into that row (sticky aggregates keep the first row's value) and
+  /// marked absorbed: bit `first_row + i` of `absorbed` is set for chunk
+  /// row i. The table itself materializes nothing.
+  Status CombineInPlace(const DataChunk &layout_chunk, data_ptr_t *src_rows,
+                        idx_t first_row, uint64_t *absorbed);
+
   /// Phase-1 check: the table must be reset once two-thirds full.
   bool NeedsReset() const {
     return count_ >= capacity_ * config_.reset_fill_ratio;
@@ -113,6 +126,11 @@ class GroupedAggregateHashTable {
   /// unpinned — they are no longer active in the hash table and may now be
   /// spilled by the buffer manager (Section V, "RAM-Oblivious").
   void ClearPointerTable();
+
+  /// Frees the entry array and releases the append pins, for a table that
+  /// will not be probed again (before its groups are emitted): cheaper than
+  /// clearing, and the memory is back in the pool during emission.
+  void ReleasePointerTable();
 
   /// Groups currently reachable through the pointer table.
   idx_t Count() const { return count_; }
@@ -198,8 +216,8 @@ class GroupedAggregateHashTable {
   /// in-range key the chunk resolved.
   void BackfillDirect(const DataChunk &input);
 
-  /// Doubles the entry array and rebuilds it from the materialized rows
-  /// (resizable tables only).
+  /// Doubles the entry array and rebuilds it from the old one, rehoming
+  /// each entry by the hash stored in its row (resizable tables only).
   Status Resize();
 
   uint64_t *entries() {
@@ -217,6 +235,9 @@ class GroupedAggregateHashTable {
   idx_t count_ = 0;
 
   std::unique_ptr<PartitionedTupleData> data_;
+  /// During CombineInPlace: the source rows, which new groups point at
+  /// instead of appending a copy.
+  const data_ptr_t *in_place_rows_ = nullptr;
 
   // Per-chunk scratch.
   DataChunk append_chunk_;

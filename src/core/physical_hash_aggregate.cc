@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 
 #include "observe/metrics.h"
 #include "observe/trace.h"
@@ -225,15 +226,8 @@ idx_t PhysicalHashAggregate::PartitionTableCapacity(idx_t rows,
   // The row count is exact and never undercounts the groups; the estimate
   // keeps a partition full of duplicates from an oversized table. A low
   // estimate only costs resizes.
-  double groups = static_cast<double>(rows);
-  if (planner_->decided()) {
-    const double partitions = static_cast<double>(idx_t{1}
-                                                  << config_.radix_bits);
-    groups = std::min(groups, kGroupEstimateMargin *
-                                  static_cast<double>(
-                                      planner_->decision().estimated_groups) /
-                                  partitions);
-  }
+  const double groups =
+      std::min(static_cast<double>(rows), PartitionGroupBound());
   // A resizable table grows when the groups plus an all-new chunk would
   // reach the fill ratio; room for both means it never does.
   const auto needed = static_cast<idx_t>(
@@ -245,6 +239,31 @@ idx_t PhysicalHashAggregate::PartitionTableCapacity(idx_t rows,
                              idx_t{1} << kMaxHashTableBits);
   return std::max(kMinPartitionTableCapacity,
                   std::min(std::bit_ceil(needed + 1), cap));
+}
+
+double PhysicalHashAggregate::PartitionGroupBound() const {
+  if (!planner_->decided()) {
+    return std::numeric_limits<double>::infinity();
+  }
+  const double partitions = static_cast<double>(idx_t{1}
+                                                << config_.radix_bits);
+  return kGroupEstimateMargin *
+         static_cast<double>(planner_->decision().estimated_groups) /
+         partitions;
+}
+
+bool PhysicalHashAggregate::GroupsInPlace(const TupleDataCollection &partition,
+                                          idx_t threads) const {
+  // A partition of duplicates takes the copy path, which pins only its
+  // groups; in place pins every row until emission.
+  if (!planner_->decided() ||
+      static_cast<double>(partition.Count()) > PartitionGroupBound()) {
+    return false;
+  }
+  // A partition the estimate wrongly calls unique must still fit its share.
+  const idx_t limit = buffer_manager_.memory_limit();
+  return std::max<idx_t>(1, threads) * partition.SizeInBytes() <=
+         limit - limit / kPartitionTableLimitDivisor;
 }
 
 Status PhysicalHashAggregate::MaybeEarlyAggregate(LocalState &local) {
@@ -405,13 +424,14 @@ Status PhysicalHashAggregate::AggregatePartition(PartitionedTupleData &data,
                                                  DataSink &output,
                                                  TaskExecutor &executor) {
   TupleDataCollection &source = data.partition(partition_idx);
-  if (source.Count() == 0) {
+  const idx_t rows = source.Count();
+  if (rows == 0) {
     return Status::OK();
   }
   TraceSpan span("phase2.partition", "agg", partition_idx);
+  const bool in_place = GroupsInPlace(source, executor.num_threads());
   GroupedAggregateHashTable::Config ht_config;
-  ht_config.capacity =
-      PartitionTableCapacity(source.Count(), executor.num_threads());
+  ht_config.capacity = PartitionTableCapacity(rows, executor.num_threads());
   ht_config.radix_bits = 0;  // a phase-2 table is not repartitioned
   ht_config.resizable = true;
   ht_config.use_salt = config_.use_salt;
@@ -421,22 +441,71 @@ Status PhysicalHashAggregate::AggregatePartition(PartitionedTupleData &data,
       auto ht, GroupedAggregateHashTable::Create(buffer_manager_, row_layout_,
                                                  ht_config));
 
-  // Merge the partition's pre-aggregated rows; pages are destroyed as the
-  // scan moves past them.
-  SSAGG_RETURN_NOT_OK(MergeCollectionInto(*ht, source, &executor));
-
-  // The pointer table is no longer needed; release the build pins so result
-  // pages can be freed as soon as the output scan passes them.
-  ht->ClearPointerTable();
-
-  // Push the fully aggregated partition to the next operator immediately,
-  // freeing its pages as they are consumed.
-  SSAGG_RETURN_NOT_OK(EmitTablePartition(*ht, 0, output, executor));
-  {
-    ScopedLock guard(lock_);
-    stats_.ht.Merge(ht->stats());
+  if (in_place) {
+    SSAGG_RETURN_NOT_OK(AggregateInPlace(*ht, source, output, executor));
+  } else {
+    // Merge the partition's pre-aggregated rows into the table's own pages;
+    // source pages are destroyed as the scan moves past them.
+    SSAGG_RETURN_NOT_OK(MergeCollectionInto(*ht, source, &executor));
+    // The pointer table is no longer needed; free it and release the build
+    // pins so result pages can be freed as soon as the output scan passes
+    // them.
+    ht->ReleasePointerTable();
+    // Push the fully aggregated partition to the next operator immediately,
+    // freeing its pages as they are consumed.
+    SSAGG_RETURN_NOT_OK(EmitTablePartition(*ht, 0, output, executor));
+  }
+  ScopedLock guard(lock_);
+  stats_.ht.Merge(ht->stats());
+  if (in_place) {
+    stats_.phase2_in_place_partitions++;
+  } else {
+    stats_.phase2_copied_rows += rows;
   }
   return Status::OK();
+}
+
+Status PhysicalHashAggregate::AggregateInPlace(GroupedAggregateHashTable &ht,
+                                               TupleDataCollection &source,
+                                               DataSink &output,
+                                               TaskExecutor &executor) {
+  // One absorbed bit per row, charged to the pool like the entry array.
+  const idx_t words = (source.Count() + 63) / 64;
+  SSAGG_ASSIGN_OR_RETURN(
+      auto absorbed_alloc,
+      buffer_manager_.AllocateNonPaged(words * sizeof(uint64_t)));
+  auto *absorbed = reinterpret_cast<uint64_t *>(absorbed_alloc.data());
+  std::fill_n(absorbed, words, uint64_t{0});
+
+  // Probe pass: gather only the group and hash columns, and hold every page
+  // pinned (its string pointers recomputed once, here) until emission.
+  source.PrefetchForScan(4);
+  DataChunk group_chunk(row_layout_.layout.Types());
+  std::vector<data_ptr_t> rows(kVectorSize);
+  TupleDataScanState scan;
+  source.InitScan(scan);
+  scan.column_count = row_layout_.hash_column + 1;
+  scan.hold_pins = true;
+  idx_t first_row = 0;
+  while (true) {
+    SSAGG_ASSIGN_OR_RETURN(bool more,
+                           source.Scan(scan, group_chunk, rows.data()));
+    if (!more) {
+      break;
+    }
+    SSAGG_RETURN_NOT_OK(executor.CheckDeadline());
+    SSAGG_RETURN_NOT_OK(
+        ht.CombineInPlace(group_chunk, rows.data(), first_row, absorbed));
+    first_row += group_chunk.size();
+  }
+  ht.ReleasePointerTable();
+
+  // Emission: one more pass over the same pages returns the group rows in
+  // first-occurrence order, dropping each page's pins and the page itself
+  // as it passes.
+  source.InitScan(scan, /*destroy_after_scan=*/true);
+  scan.skip_rows = absorbed;
+  return EmitRows(ht, source, scan, output, executor);
 }
 
 Status PhysicalHashAggregate::EmitTablePartition(
@@ -446,21 +515,29 @@ Status PhysicalHashAggregate::EmitTablePartition(
   if (result.Count() == 0) {
     return Status::OK();
   }
+  TupleDataScanState scan;
+  result.InitScan(scan, /*destroy_after_scan=*/true);
+  return EmitRows(table, result, scan, output, executor);
+}
+
+Status PhysicalHashAggregate::EmitRows(GroupedAggregateHashTable &table,
+                                       TupleDataCollection &rows,
+                                       TupleDataScanState &scan,
+                                       DataSink &output,
+                                       TaskExecutor &executor) {
   SSAGG_ASSIGN_OR_RETURN(auto out_local, output.InitLocal());
   DataChunk layout_chunk(row_layout_.layout.Types());
-  std::vector<data_ptr_t> src_rows(kVectorSize);
+  std::vector<data_ptr_t> row_ptrs(kVectorSize);
   DataChunk out(OutputTypes());
-  TupleDataScanState result_scan;
-  result.InitScan(result_scan, /*destroy_after_scan=*/true);
   idx_t groups = 0;
   while (true) {
-    SSAGG_ASSIGN_OR_RETURN(
-        bool more, result.Scan(result_scan, layout_chunk, src_rows.data()));
+    SSAGG_ASSIGN_OR_RETURN(bool more,
+                           rows.Scan(scan, layout_chunk, row_ptrs.data()));
     if (!more) {
       break;
     }
     SSAGG_RETURN_NOT_OK(executor.CheckDeadline());
-    table.FinalizeChunk(layout_chunk, src_rows.data(), out);
+    table.FinalizeChunk(layout_chunk, row_ptrs.data(), out);
     groups += out.size();
     SSAGG_RETURN_NOT_OK(output.Sink(out, *out_local));
   }
@@ -475,9 +552,9 @@ Status PhysicalHashAggregate::EmitTablePartition(
 Status PhysicalHashAggregate::EmitTable(GroupedAggregateHashTable &table,
                                         DataSink &output,
                                         TaskExecutor &executor) {
-  // Release the build pins; result pages are then freed as the output
-  // scans pass them.
-  table.ClearPointerTable();
+  // Free the entry array and release the build pins; result pages are then
+  // freed as the output scans pass them.
+  table.ReleasePointerTable();
   auto &data = table.data();
   std::vector<std::function<Status()>> tasks;
   for (idx_t p = 0; p < data.PartitionCount(); p++) {

@@ -64,6 +64,11 @@ struct HashAggregateStats {
   idx_t phase1_resets = 0;
   idx_t early_compactions = 0;   // early-aggregation passes (Section IX)
   idx_t early_compacted_rows = 0;  // rows eliminated by early aggregation
+  /// Radix phase-2 partitions grouped in place over their own rows.
+  idx_t phase2_in_place_partitions = 0;
+  /// Rows of radix phase-2 partitions that took the copy path instead
+  /// (gathered whole and appended again into the partition's table).
+  idx_t phase2_copied_rows = 0;
   GroupedAggregateHashTable::Stats ht;
   /// Wall-clock seconds of the two phases (filled by Execute helpers).
   double phase1_seconds = 0;
@@ -191,6 +196,15 @@ class PhysicalHashAggregate : public DataSink {
   /// never resizes; capped so the threads' arrays together stay within an
   /// eighth of the memory limit (a capped table grows as needed).
   [[nodiscard]] idx_t PartitionTableCapacity(idx_t rows, idx_t threads) const;
+  /// The planner's per-partition group estimate with its margin; infinite
+  /// before the planner has decided.
+  [[nodiscard]] double PartitionGroupBound() const;
+  /// Whether a radix partition is grouped in place (DESIGN.md section 4):
+  /// it is near-unique by PartitionGroupBound, and `threads` such
+  /// partitions, each pinned whole until emitted, fit in what the entry
+  /// arrays leave of the memory limit.
+  [[nodiscard]] bool GroupsInPlace(const TupleDataCollection &partition,
+                                   idx_t threads) const;
 
   /// Runs the early-aggregation policy checks and compacts if they pass.
   Status MaybeEarlyAggregate(LocalState &local);
@@ -216,12 +230,23 @@ class PhysicalHashAggregate : public DataSink {
   Status EmitTablePartition(GroupedAggregateHashTable &table,
                             idx_t partition_idx, DataSink &output,
                             TaskExecutor &executor);
+  /// Finalizes and pushes the rows `scan` returns from `rows`, whose
+  /// groups `table` built.
+  Status EmitRows(GroupedAggregateHashTable &table, TupleDataCollection &rows,
+                  TupleDataScanState &scan, DataSink &output,
+                  TaskExecutor &executor);
 
   /// `data` is the merged global partition set, resolved under the lock by
   /// EmitResults; partition `partition_idx` is owned by this task from here
   /// on (partition tasks never touch each other's partitions).
   Status AggregatePartition(PartitionedTupleData &data, idx_t partition_idx,
                             DataSink &output, TaskExecutor &executor);
+  /// Groups `source` in place with `ht` and emits it: one pass probes the
+  /// group and hash columns while holding every page pinned, a second
+  /// emits the rows that are groups, destroying each page as it passes.
+  Status AggregateInPlace(GroupedAggregateHashTable &ht,
+                          TupleDataCollection &source, DataSink &output,
+                          TaskExecutor &executor);
 
   Status RadixMergeEmit(PartitionedTupleData *data, DataSink &output,
                         TaskExecutor &executor);

@@ -16,6 +16,9 @@ void AddAggregateStats(const HashAggregateStats &stats,
   profile.AddCounter("agg.phase1_resets", stats.phase1_resets);
   profile.AddCounter("agg.early_compactions", stats.early_compactions);
   profile.AddCounter("agg.early_compacted_rows", stats.early_compacted_rows);
+  profile.AddCounter("agg.phase2_in_place_partitions",
+                     stats.phase2_in_place_partitions);
+  profile.AddCounter("agg.phase2_copied_rows", stats.phase2_copied_rows);
   profile.AddCounter("agg.ht_probe_steps", stats.ht.probe_steps);
   profile.AddCounter("agg.ht_key_compares", stats.ht.key_compares);
   profile.AddCounter("agg.ht_key_compare_misses", stats.ht.key_compare_misses);

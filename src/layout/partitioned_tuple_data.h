@@ -80,8 +80,8 @@ class PartitionedTupleData {
   }
 
   /// Iterates over all row addresses of one partition, pinning pages
-  /// through this object's append states (used to rebuild the pointer
-  /// table on resize). Addresses stay valid until ReleaseAppendPins.
+  /// through this object's append states (a baseline serializes its
+  /// partitions this way). Addresses stay valid until ReleaseAppendPins.
   template <typename Fn>
   Status ForEachRowInPartition(idx_t partition_idx, Fn &&fn);
 

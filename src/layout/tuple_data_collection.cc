@@ -82,14 +82,13 @@ void ScatterStrings(const Vector &vec, const idx_t *sel, idx_t count,
   }
 }
 
-/// Gathers one fixed-width column of `count` consecutive rows.
+/// Gathers one fixed-width column of `count` rows.
 template <typename T>
-void GatherFixed(const_data_ptr_t first_row, idx_t row_width, idx_t count,
-                 idx_t offset, const TupleDataLayout &layout, idx_t col,
-                 Vector &vec) {
+void GatherFixed(const data_ptr_t *rows, idx_t count, idx_t offset,
+                 const TupleDataLayout &layout, idx_t col, Vector &vec) {
   T *values = reinterpret_cast<T *>(vec.data());
-  const_data_ptr_t row = first_row;
-  for (idx_t i = 0; i < count; i++, row += row_width) {
+  for (idx_t i = 0; i < count; i++) {
+    const_data_ptr_t row = rows[i];
     if (layout.RowIsColumnValid(row, col)) {
       values[i] = LoadValue<T>(row + offset);
     } else {
@@ -102,12 +101,11 @@ void GatherFixed(const_data_ptr_t first_row, idx_t row_width, idx_t count,
 /// Gathers one VARCHAR column. Non-inlined strings are copied into the
 /// vector's heap: the gathered chunk must stay valid after the scan unpins
 /// the heap page.
-void GatherStrings(const_data_ptr_t first_row, idx_t row_width, idx_t count,
-                   idx_t offset, const TupleDataLayout &layout, idx_t col,
-                   Vector &vec) {
+void GatherStrings(const data_ptr_t *rows, idx_t count, idx_t offset,
+                   const TupleDataLayout &layout, idx_t col, Vector &vec) {
   string_t *values = vec.Values<string_t>();
-  const_data_ptr_t row = first_row;
-  for (idx_t i = 0; i < count; i++, row += row_width) {
+  for (idx_t i = 0; i < count; i++) {
+    const_data_ptr_t row = rows[i];
     if (!layout.RowIsColumnValid(row, col)) {
       vec.validity().SetInvalid(i);
       values[i] = string_t();
@@ -345,9 +343,13 @@ void TupleDataCollection::InitScan(TupleDataScanState &state,
                                    bool destroy_after_scan) {
   state.page_idx = 0;
   state.row_idx = 0;
+  state.page_first_row = 0;
   state.row_pin.Reset();
   state.heap_pins.clear();
   state.destroy_after_scan = destroy_after_scan;
+  state.column_count = kInvalidIndex;
+  state.hold_pins = false;
+  state.skip_rows = nullptr;
   if (destroy_after_scan) {
     state.heap_last_user.assign(heap_pages_.size(), kInvalidIndex);
     for (idx_t p = 0; p < row_pages_.size(); p++) {
@@ -373,6 +375,15 @@ void TupleDataCollection::PrefetchForScan(idx_t pages) {
 
 Status TupleDataCollection::PinPageForScan(TupleDataScanState &state) {
   state.heap_pins.clear();
+  if (state.page_idx < state.held_pins.size() &&
+      state.held_pins[state.page_idx].row_pin.IsValid()) {
+    // An earlier scan of this state pinned the page and recomputed its
+    // string pointers; the page cannot have moved since.
+    TupleDataPagePins &held = state.held_pins[state.page_idx];
+    state.row_pin = std::move(held.row_pin);
+    state.heap_pins.swap(held.heap_pins);
+    return Status::OK();
+  }
   // Read ahead: start an asynchronous load of the next page (and its heap
   // pages) while this one is consumed. Best-effort — a no-op with the sync
   // backend or when memory is tight.
@@ -424,38 +435,27 @@ Status TupleDataCollection::PinPageWithHeap(
   return Status::OK();
 }
 
-void TupleDataCollection::GatherRows(data_ptr_t page_base, idx_t row_idx,
-                                     idx_t count, DataChunk &out,
-                                     data_ptr_t *row_ptrs_out) {
-  const idx_t row_width = layout_.RowWidth();
-  const_data_ptr_t first_row = page_base + row_idx * row_width;
-  for (idx_t c = 0; c < layout_.ColumnCount(); c++) {
+void TupleDataCollection::GatherRows(const data_ptr_t *rows, idx_t count,
+                                     idx_t column_count, DataChunk &out) {
+  for (idx_t c = 0; c < column_count; c++) {
     Vector &vec = out.column(c);
     const idx_t offset = layout_.ColumnOffset(c);
     if (TypeIsVarSize(layout_.ColumnType(c))) {
-      GatherStrings(first_row, row_width, count, offset, layout_, c, vec);
+      GatherStrings(rows, count, offset, layout_, c, vec);
       continue;
     }
     switch (TypeWidth(layout_.ColumnType(c))) {
       case 1:
-        GatherFixed<uint8_t>(first_row, row_width, count, offset, layout_, c,
-                             vec);
+        GatherFixed<uint8_t>(rows, count, offset, layout_, c, vec);
         break;
       case 4:
-        GatherFixed<uint32_t>(first_row, row_width, count, offset, layout_, c,
-                              vec);
+        GatherFixed<uint32_t>(rows, count, offset, layout_, c, vec);
         break;
       case 8:
-        GatherFixed<uint64_t>(first_row, row_width, count, offset, layout_, c,
-                              vec);
+        GatherFixed<uint64_t>(rows, count, offset, layout_, c, vec);
         break;
       default:
         SSAGG_ASSERT(false);
-    }
-  }
-  if (row_ptrs_out) {
-    for (idx_t i = 0; i < count; i++) {
-      row_ptrs_out[i] = page_base + (row_idx + i) * row_width;
     }
   }
   out.SetCount(count);
@@ -465,29 +465,66 @@ Result<bool> TupleDataCollection::Scan(TupleDataScanState &state,
                                        DataChunk &out,
                                        data_ptr_t *row_ptrs_out) {
   out.Reset();
-  // Page cleanup is deferred to the call AFTER the one that returned a
-  // page's last rows: the previous call's row pointers (and gathered data)
-  // must stay valid until the consumer asks for the next chunk.
-  while (state.page_idx < row_pages_.size() &&
-         state.row_idx >= row_pages_[state.page_idx].count) {
-    FinishScanPage(state);
+  data_ptr_t *rows = row_ptrs_out;
+  if (rows == nullptr) {
+    state.row_scratch.resize(kVectorSize);
+    rows = state.row_scratch.data();
   }
-  if (state.page_idx >= row_pages_.size()) {
-    state.row_pin.Reset();
-    state.heap_pins.clear();
-    return false;
+  const idx_t row_width = layout_.RowWidth();
+  while (true) {
+    // Page cleanup is deferred to the call AFTER the one that returned a
+    // page's last rows: the previous call's row pointers (and gathered
+    // data) must stay valid until the consumer asks for the next chunk.
+    while (state.page_idx < row_pages_.size() &&
+           state.row_idx >= row_pages_[state.page_idx].count) {
+      FinishScanPage(state);
+    }
+    if (state.page_idx >= row_pages_.size()) {
+      state.row_pin.Reset();
+      state.heap_pins.clear();
+      return false;
+    }
+    RowPage &page = row_pages_[state.page_idx];
+    if (!state.row_pin.IsValid()) {
+      SSAGG_RETURN_NOT_OK(PinPageForScan(state));
+    }
+    const idx_t count =
+        std::min<idx_t>(kVectorSize, page.count - state.row_idx);
+    data_ptr_t row = state.row_pin.Ptr() + state.row_idx * row_width;
+    idx_t kept = 0;
+    if (state.skip_rows == nullptr) {
+      for (idx_t i = 0; i < count; i++, row += row_width) {
+        rows[i] = row;
+      }
+      kept = count;
+    } else {
+      idx_t ordinal = state.page_first_row + state.row_idx;
+      for (idx_t i = 0; i < count; i++, row += row_width, ordinal++) {
+        rows[kept] = row;
+        kept += ((state.skip_rows[ordinal / 64] >> (ordinal % 64)) & 1) ^ 1;
+      }
+    }
+    state.row_idx += count;
+    if (kept > 0) {
+      GatherRows(rows, kept,
+                 std::min(state.column_count, layout_.ColumnCount()), out);
+      return true;
+    }
   }
-  RowPage &page = row_pages_[state.page_idx];
-  if (!state.row_pin.IsValid()) {
-    SSAGG_RETURN_NOT_OK(PinPageForScan(state));
-  }
-  idx_t count = std::min<idx_t>(kVectorSize, page.count - state.row_idx);
-  GatherRows(state.row_pin.Ptr(), state.row_idx, count, out, row_ptrs_out);
-  state.row_idx += count;
-  return true;
 }
 
 void TupleDataCollection::FinishScanPage(TupleDataScanState &state) {
+  if (state.hold_pins) {
+    if (state.held_pins.size() < row_pages_.size()) {
+      state.held_pins.resize(row_pages_.size());
+    }
+    TupleDataPagePins &held = state.held_pins[state.page_idx];
+    held.row_pin = std::move(state.row_pin);
+    held.heap_pins.swap(state.heap_pins);
+  } else if (state.page_idx < state.held_pins.size()) {
+    // Held pins of a page this scan did not pin itself (an empty page).
+    state.held_pins[state.page_idx] = TupleDataPagePins{};
+  }
   state.row_pin.Reset();
   state.heap_pins.clear();
   if (state.destroy_after_scan && state.page_idx < row_pages_.size()) {
@@ -507,6 +544,7 @@ void TupleDataCollection::FinishScanPage(TupleDataScanState &state) {
       }
     }
   }
+  state.page_first_row += row_pages_[state.page_idx].count;
   state.page_idx++;
   state.row_idx = 0;
 }

@@ -33,12 +33,23 @@ struct TupleDataPinnedState {
   void Release() { pins.clear(); }
 };
 
+/// The pins of one row page and of the heap pages its rows reference.
+struct TupleDataPagePins {
+  BufferHandle row_pin;
+  std::vector<BufferHandle> heap_pins;
+};
+
 /// Cursor over a TupleDataCollection. Pins one row page (and the heap pages
 /// its rows reference) at a time; gathered string data is copied into the
 /// output chunk so it stays valid after the pins move on.
+///
+/// InitScan resets every field except held_pins; the options below are set
+/// after it.
 struct TupleDataScanState {
   idx_t page_idx = 0;
   idx_t row_idx = 0;
+  /// Ordinal (position in the collection) of the current page's first row.
+  idx_t page_first_row = 0;
   BufferHandle row_pin;
   std::vector<BufferHandle> heap_pins;
   /// Destroy pages once the scan has passed them (frees memory or
@@ -47,6 +58,20 @@ struct TupleDataScanState {
   /// For destroy_after_scan: heap page index -> last row page referencing
   /// it; a heap page is destroyed once the scan passes that row page.
   std::vector<idx_t> heap_last_user;
+  /// Gather only the leading `column_count` layout columns; the output
+  /// chunk's other columns are left empty. kInvalidIndex gathers all.
+  idx_t column_count = kInvalidIndex;
+  /// Keep each page pinned after the scan has passed it: its pins move to
+  /// held_pins, so the row addresses the scan returned stay valid (string
+  /// pointers included) after it ends. A later scan of the same state takes
+  /// a page's held pins over when it reaches the page, without pinning or
+  /// recomputing again, and drops them as it passes the page.
+  bool hold_pins = false;
+  std::vector<TupleDataPagePins> held_pins;
+  /// One bit per row, by ordinal: rows whose bit is set are not returned.
+  const uint64_t *skip_rows = nullptr;
+  /// Row addresses of the current chunk when the caller wants none back.
+  std::vector<data_ptr_t> row_scratch;
 };
 
 /// Row-major, buffer-managed tuple storage implementing the paper's page
@@ -108,9 +133,10 @@ class TupleDataCollection {
   /// caller sets up. A no-op with the sync backend or when memory is tight.
   void PrefetchForScan(idx_t pages);
 
-  /// Gathers up to kVectorSize rows into `out` (which must match the layout
-  /// column types). If `row_ptrs_out` is non-null it receives the address
-  /// of each gathered row (valid until the next Scan call on this state).
+  /// Gathers up to kVectorSize rows of one page into `out` (which must
+  /// match the layout column types). If `row_ptrs_out` is non-null it
+  /// receives the address of each gathered row (valid until the next Scan
+  /// call on this state, or while a hold_pins state holds the page).
   /// Returns false when the collection is exhausted.
   Result<bool> Scan(TupleDataScanState &state, DataChunk &out,
                     data_ptr_t *row_ptrs_out = nullptr);
@@ -210,15 +236,16 @@ class TupleDataCollection {
   void ScatterRows(const DataChunk &input, const idx_t *sel, idx_t count,
                    const data_ptr_t *rows);
 
-  /// Unpins the current scan page, optionally destroying it (and any heap
-  /// pages whose last user it was), and advances the cursor.
+  /// Unpins (or, for hold_pins, holds) the current scan page, optionally
+  /// destroying it (and any heap pages whose last user it was), and
+  /// advances the cursor.
   void FinishScanPage(TupleDataScanState &state);
 
   /// Pins row page `page_idx` for scanning: pins the heap pages referenced
   /// by the page's HeapRefs and recomputes the row's string pointers if a
   /// heap page was reloaded at a different address (Section IV, "Pointer
   /// Recomputation": new = stored - old_base + new_base; done lazily and in
-  /// place).
+  /// place). Takes the page's held pins over instead, if the state has them.
   Status PinPageForScan(TupleDataScanState &state);
 
   /// Pins one row page and the heap pages its rows reference, recomputing
@@ -226,10 +253,10 @@ class TupleDataCollection {
   Status PinPageWithHeap(idx_t page_idx, BufferHandle &row_pin,
                          std::vector<BufferHandle> &heap_pins);
 
-  /// Gathers rows [row_idx, row_idx + count) of the pinned page into out,
+  /// Gathers the leading `column_count` columns of `count` rows into out,
   /// one column at a time with a loop specialized for the column's width.
-  void GatherRows(data_ptr_t page_base, idx_t row_idx, idx_t count,
-                  DataChunk &out, data_ptr_t *row_ptrs_out);
+  void GatherRows(const data_ptr_t *rows, idx_t count, idx_t column_count,
+                  DataChunk &out);
 
   BufferManager &buffer_manager_;
   TupleDataLayout layout_;

@@ -12,6 +12,7 @@
 
 #include "common/file_system.h"
 #include "common/random.h"
+#include "common/value.h"
 #include "testing/fault_injector.h"
 
 namespace ssagg {
@@ -877,6 +878,247 @@ TEST_F(AggregateHashTableTest, ScalarVsVectorizedUnderAllocationPressure) {
     std::map<GroupKey, std::pair<double, int64_t>> recovered;
     ASSERT_TRUE(run(vectorized, &injector, &recovered).ok());
     EXPECT_EQ(recovered, reference);
+  }
+}
+
+/// One group as phase 2 emits it: the finalized output row and the raw
+/// bytes of the group row's aggregate states.
+struct EmittedGroup {
+  std::vector<Value> output;
+  std::string states;
+  bool operator==(const EmittedGroup &) const = default;
+};
+
+/// Drains `scan` over `rows`, whose groups `ht` built, in emission order.
+std::vector<EmittedGroup> DrainGroups(GroupedAggregateHashTable &ht,
+                                      TupleDataCollection &rows,
+                                      TupleDataScanState &scan) {
+  DataChunk layout_chunk(ht.layout().Types());
+  DataChunk out(ht.OutputTypes());
+  std::vector<data_ptr_t> ptrs(kVectorSize);
+  const idx_t aggr_offset = ht.layout().AggregateOffset();
+  std::vector<EmittedGroup> groups;
+  while (true) {
+    auto more = rows.Scan(scan, layout_chunk, ptrs.data());
+    EXPECT_TRUE(more.ok()) << more.status().ToString();
+    if (!more.ok() || !more.value()) {
+      break;
+    }
+    ht.FinalizeChunk(layout_chunk, ptrs.data(), out);
+    for (idx_t i = 0; i < out.size(); i++) {
+      EmittedGroup group;
+      for (idx_t c = 0; c < out.ColumnCount(); c++) {
+        group.output.push_back(Value::FromVector(out.column(c), i));
+      }
+      group.states.assign(reinterpret_cast<const char *>(ptrs[i]) +
+                              aggr_offset,
+                          ht.layout().AggregateWidth());
+      groups.push_back(std::move(group));
+    }
+  }
+  return groups;
+}
+
+/// Phase 2 through the copy path: merges `source` into `target` and emits
+/// the target's own rows.
+std::vector<EmittedGroup> GroupByCopy(GroupedAggregateHashTable &target,
+                                      TupleDataCollection &source) {
+  DataChunk layout_chunk(target.layout().Types());
+  std::vector<data_ptr_t> ptrs(kVectorSize);
+  TupleDataScanState scan;
+  source.InitScan(scan);
+  while (true) {
+    auto more = source.Scan(scan, layout_chunk, ptrs.data());
+    EXPECT_TRUE(more.ok()) << more.status().ToString();
+    if (!more.ok() || !more.value()) {
+      break;
+    }
+    EXPECT_TRUE(target.CombineSourceChunk(layout_chunk, ptrs.data()).ok());
+  }
+  target.ReleasePointerTable();
+  TupleDataCollection &result = target.data().partition(0);
+  TupleDataScanState result_scan;
+  result.InitScan(result_scan, /*destroy_after_scan=*/true);
+  return DrainGroups(target, result, result_scan);
+}
+
+/// Phase 2 in place, as the operator runs it: a probe pass over the group
+/// and hash columns holding every page pinned, then one emission pass
+/// that skips absorbed rows and destroys the pages.
+std::vector<EmittedGroup> GroupInPlace(GroupedAggregateHashTable &ht,
+                                       TupleDataCollection &source) {
+  std::vector<uint64_t> absorbed((source.Count() + 63) / 64, 0);
+  DataChunk group_chunk(ht.layout().Types());
+  std::vector<data_ptr_t> ptrs(kVectorSize);
+  TupleDataScanState scan;
+  source.InitScan(scan);
+  scan.column_count = ht.row_layout().hash_column + 1;
+  scan.hold_pins = true;
+  idx_t first_row = 0;
+  while (true) {
+    auto more = source.Scan(scan, group_chunk, ptrs.data());
+    EXPECT_TRUE(more.ok()) << more.status().ToString();
+    if (!more.ok() || !more.value()) {
+      break;
+    }
+    EXPECT_TRUE(
+        ht.CombineInPlace(group_chunk, ptrs.data(), first_row, absorbed.data())
+            .ok());
+    first_row += group_chunk.size();
+  }
+  ht.ReleasePointerTable();
+  source.InitScan(scan, /*destroy_after_scan=*/true);
+  scan.skip_rows = absorbed.data();
+  return DrainGroups(ht, source, scan);
+}
+
+// Every aggregate kind over [int64 key, double value, varchar payload].
+const std::vector<AggregateRequest> kAllAggregates = {
+    {AggregateKind::kCountStar, kInvalidIndex}, {AggregateKind::kCount, 1},
+    {AggregateKind::kSum, 1},  {AggregateKind::kMin, 1},
+    {AggregateKind::kMax, 1},  {AggregateKind::kAvg, 1},
+    {AggregateKind::kAnyValue, 2}};
+
+/// A random chunk: keys in [0, key_range) with 1 in 16 NULL, values with 1
+/// in 8 NULL, and a payload naming the row, so that ANY_VALUE shows which
+/// row of a group won.
+void FillRandomInput(DataChunk &chunk, RandomEngine &rng, idx_t key_range,
+                     idx_t first_row) {
+  chunk.Reset();
+  for (idx_t i = 0; i < kVectorSize; i++) {
+    if (rng.NextRange(16) == 0) {
+      chunk.column(0).validity().SetInvalid(i);
+      chunk.column(0).SetValue<int64_t>(i, 0);
+    } else {
+      chunk.column(0).SetValue<int64_t>(
+          i, static_cast<int64_t>(rng.NextRange(key_range)));
+    }
+    if (rng.NextRange(8) == 0) {
+      chunk.column(1).validity().SetInvalid(i);
+      chunk.column(1).SetValue<double>(i, 0);
+    } else {
+      chunk.column(1).SetValue<double>(
+          i, static_cast<double>(rng.NextRange(1000)) - 500.0);
+    }
+    chunk.column(2).SetString(i, "payload_of_input_row_" +
+                                     std::to_string(first_row + i));
+  }
+  chunk.SetCount(kVectorSize);
+}
+
+/// A phase-1 table (one partition) fed `chunks` random chunks: its 256
+/// entries reset every 170 groups, so its rows repeat keys within and
+/// across the chunks phase 2 scans.
+std::unique_ptr<GroupedAggregateHashTable> MakePhase1Source(
+    BufferManager &bm, uint64_t seed, int chunks, idx_t key_range) {
+  auto config = SmallConfig();
+  config.capacity = 256;
+  config.radix_bits = 0;
+  auto ht = GroupedAggregateHashTable::Create(bm, InputTypes(), {0},
+                                              kAllAggregates, config)
+                .MoveValue();
+  RandomEngine rng(seed);
+  DataChunk input(InputTypes());
+  for (int c = 0; c < chunks; c++) {
+    FillRandomInput(input, rng, key_range, c * kVectorSize);
+    EXPECT_TRUE(ht->AddChunk(input).ok());
+  }
+  ht->ClearPointerTable();
+  return ht;
+}
+
+std::unique_ptr<GroupedAggregateHashTable> MakePhase2Table(BufferManager &bm,
+                                                           idx_t capacity,
+                                                           bool vectorized) {
+  auto config = SmallConfig();
+  config.capacity = capacity;
+  config.radix_bits = 0;
+  config.resizable = true;
+  config.vectorized_probe = vectorized;
+  return GroupedAggregateHashTable::Create(bm, InputTypes(), {0},
+                                           kAllAggregates, config)
+      .MoveValue();
+}
+
+// Phase 2 in place must give exactly what the copy path gives: the same
+// groups (the NULL group included), in the same first-occurrence order,
+// with the same states and the first row's ANY_VALUE, on both probe paths.
+TEST_F(AggregateHashTableTest, InPlaceMatchesCopyPathRandomized) {
+  BufferManager bm(temp_dir_, 1024 * kPageSize);
+  constexpr int kChunks = 6;
+  constexpr idx_t kKeyRange = 600;
+  for (bool vectorized : {false, true}) {
+    SCOPED_TRACE(vectorized ? "vectorized probe" : "scalar probe");
+    // In place mutates its source rows, so each path gets its own copy of
+    // the same input.
+    auto copy_source = MakePhase1Source(bm, 77, kChunks, kKeyRange);
+    auto in_place_source = MakePhase1Source(bm, 77, kChunks, kKeyRange);
+    TupleDataCollection &copy_rows = copy_source->data().partition(0);
+    TupleDataCollection &in_place_rows = in_place_source->data().partition(0);
+    ASSERT_EQ(copy_rows.Count(), in_place_rows.Count());
+    ASSERT_GT(copy_rows.Count(), 2 * kKeyRange) << "phase 2 must see repeats";
+
+    auto copy_table = MakePhase2Table(bm, 4096, vectorized);
+    auto in_place_table = MakePhase2Table(bm, 4096, vectorized);
+    auto copied = GroupByCopy(*copy_table, copy_rows);
+    auto grouped = GroupInPlace(*in_place_table, in_place_rows);
+    EXPECT_EQ(in_place_table->data().Count(), 0u)
+        << "an in-place table materializes nothing";
+    EXPECT_EQ(bm.PinnedBufferCount(), 0u);
+
+    ASSERT_EQ(copied.size(), kKeyRange + 1);  // every key, and NULL
+    EXPECT_EQ(grouped.size(), copied.size());
+    EXPECT_TRUE(grouped == copied);
+    bool saw_null = false;
+    for (const auto &group : grouped) {
+      saw_null = saw_null || group.output[0].IsNull();
+    }
+    EXPECT_TRUE(saw_null);
+  }
+}
+
+// An in-place table that starts at 1,024 entries and outgrows them while
+// probing rebuilds its entry array from the entries' rows and stays exact.
+TEST_F(AggregateHashTableTest, InPlaceResizeMidBuildStaysExact) {
+  BufferManager bm(temp_dir_, 1024 * kPageSize);
+  constexpr int kChunks = 8;
+  constexpr idx_t kKeyRange = 5000;
+  for (bool vectorized : {false, true}) {
+    SCOPED_TRACE(vectorized ? "vectorized probe" : "scalar probe");
+    auto reference_source = MakePhase1Source(bm, 99, kChunks, kKeyRange);
+    auto source = MakePhase1Source(bm, 99, kChunks, kKeyRange);
+    auto reference_table = MakePhase2Table(bm, 16384, vectorized);
+    auto table = MakePhase2Table(bm, 1024, vectorized);
+    auto expected =
+        GroupByCopy(*reference_table, reference_source->data().partition(0));
+    auto grouped = GroupInPlace(*table, source->data().partition(0));
+    EXPECT_EQ(reference_table->stats().resizes, 0u);
+    EXPECT_GT(table->stats().resizes, 0u);
+    EXPECT_GT(expected.size(), 4000u);
+    EXPECT_TRUE(grouped == expected);
+
+    // And against the input itself: COUNT(*) per key.
+    std::map<GroupKey, int64_t> counts;
+    RandomEngine rng(99);
+    DataChunk input(InputTypes());
+    for (int c = 0; c < kChunks; c++) {
+      FillRandomInput(input, rng, kKeyRange, c * kVectorSize);
+      for (idx_t i = 0; i < kVectorSize; i++) {
+        GroupKey key;
+        if (input.column(0).validity().RowIsValid(i)) {
+          key = input.column(0).GetValue<int64_t>(i);
+        }
+        counts[key]++;
+      }
+    }
+    ASSERT_EQ(grouped.size(), counts.size());
+    for (const auto &group : grouped) {
+      GroupKey key;
+      if (!group.output[0].IsNull()) {
+        key = group.output[0].GetInt64();
+      }
+      EXPECT_EQ(group.output[1].GetInt64(), counts[key]);
+    }
   }
 }
 

@@ -626,6 +626,32 @@ TEST_F(BufferManagerTest, StaleWriteIntoPooledFrameIsReported) {
 }
 #endif
 
+TEST_F(BufferManagerTest, EvictionQueueDropsDeadEntriesWithoutEvicting) {
+  // Every unpin enqueues an eviction candidate; with nothing ever evicted,
+  // no scan removes the entries its earlier unpins left behind, so the
+  // queue itself must drop them.
+  BufferManager bm(temp_dir_, 16 * kPageSize);
+  std::shared_ptr<BlockHandle> hot, cold;
+  ASSERT_TRUE(bm.Allocate(kPageSize, &cold).ok());
+  ASSERT_TRUE(bm.Allocate(kPageSize, &hot).ok());
+  for (int i = 0; i < 100000; i++) {
+    ASSERT_TRUE(bm.Pin(hot).ok());
+  }
+  auto snap = bm.Snapshot();
+  EXPECT_EQ(snap.evicted_temporary_count, 0u);
+  EXPECT_GE(snap.eviction_queue_entries, 2u);  // both pages stay candidates
+  EXPECT_LT(snap.eviction_queue_entries, 1024u);
+  // The live entries kept their order: the cold page is the first victim,
+  // so the hot page is still resident.
+  std::vector<std::shared_ptr<BlockHandle>> fill(15);
+  for (auto &block : fill) {
+    ASSERT_TRUE(bm.Allocate(kPageSize, &block).ok());
+  }
+  ASSERT_TRUE(bm.Pin(hot).ok());
+  EXPECT_EQ(bm.Snapshot().evicted_temporary_count, 1u);
+  EXPECT_EQ(bm.Snapshot().temp_reads, 0u);
+}
+
 TEST_F(BufferManagerTest, SnapshotTracksLoadedKinds) {
   BufferManager bm(temp_dir_, 16 * kMiB);
   std::shared_ptr<BlockHandle> block;

@@ -419,6 +419,7 @@ class FaultSweepTest : public ::testing::Test {
   struct SweepRun {
     Status status;
     std::vector<std::string> rows;
+    idx_t in_place_partitions = 0;
   };
   SweepRun RunOnce(const std::string &dir, FaultInjector &injector) {
     FaultInjectingFileSystem fault_fs(FileSystem::Default(), injector);
@@ -431,13 +432,14 @@ class FaultSweepTest : public ::testing::Test {
       MaterializedCollector collector;
       HashAggregateConfig config;
       config.phase1_capacity = 512;
-      config.radix_bits = 2;
+      config.radix_bits = kRadixBits;
       auto stats =
           RunGroupedAggregation(bm, source, {0}, TestAggregates(), collector,
                                 executor, config);
       run.status = stats.ok() ? Status::OK() : stats.status();
       if (stats.ok()) {
         run.rows = CanonicalRows(collector);
+        run.in_place_partitions = stats.value().phase2_in_place_partitions;
       }
       // The no-leak invariant, asserted while the pool is still alive:
       // whatever happened, all pins were released, all temporary storage
@@ -468,6 +470,9 @@ class FaultSweepTest : public ::testing::Test {
     ASSERT_GT(total_ops, 0u) << "workload must exercise " << what
                              << " operations for the sweep to mean anything";
     ASSERT_EQ(injector.faults_injected(), 0u);
+    // Every partition of the unique workload is grouped in place, so the
+    // sweep covers the pins that path holds from probe to emission.
+    EXPECT_EQ(reference.in_place_partitions, idx_t{1} << kRadixBits);
 
     // Cap the number of swept indices to bound runtime; the stride still
     // covers the full range, ends included.
@@ -502,6 +507,7 @@ class FaultSweepTest : public ::testing::Test {
   }
 
   static constexpr idx_t kRows = 60000;
+  static constexpr idx_t kRadixBits = 2;
   std::string base_dir_;
 };
 
@@ -549,6 +555,7 @@ class ServiceFaultSweepTest : public ::testing::Test {
   struct SweepRun {
     Status status;
     std::vector<std::string> rows;
+    idx_t in_place_partitions = 0;
   };
   SweepRun RunOnce(const std::string &dir, FaultInjector &injector) {
     FaultInjectingFileSystem fault_fs(FileSystem::Default(), injector);
@@ -667,6 +674,7 @@ class ServiceFaultSweepTest : public ::testing::Test {
   }
 
   static constexpr idx_t kRows = 60000;
+  static constexpr idx_t kRadixBits = 2;
   std::string base_dir_;
 };
 

@@ -587,6 +587,74 @@ TEST(FlightRecorderTest, QueryErrorDumpsFlightRecording) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(FlightRecorderTest, OomRejectionRecordsTheRefusedRequest) {
+  std::string dir = ::testing::TempDir() + "ssagg_flight_oom_" +
+                    std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(FileSystem::Default().CreateDirectories(dir).ok());
+
+  // Two pinned pages fill the pool, so nothing can be evicted for an odd-
+  // sized third allocation.
+  constexpr idx_t kRequest = 777777;
+  BufferManager bm(dir, 2 * kPageSize);
+  std::shared_ptr<BlockHandle> b0, b1, b2;
+  auto h0 = bm.Allocate(kPageSize, &b0);
+  auto h1 = bm.Allocate(kPageSize, &b1);
+  ASSERT_TRUE(h0.ok() && h1.ok());
+  auto refused = bm.Allocate(kRequest, &b2);
+  ASSERT_FALSE(refused.ok());
+  ASSERT_TRUE(refused.status().IsOutOfMemory());
+
+  FlightRecorder &flight = FlightRecorder::Global();
+  std::string saved_dir = flight.dump_directory();
+  flight.SetDumpDirectory(dir);
+  std::string path = flight.DumpAnomaly("oom_test");
+  flight.SetDumpDirectory(saved_dir);
+  ASSERT_FALSE(path.empty());
+  auto contents = ReadWholeFile(path);
+  ASSERT_TRUE(contents.ok());
+  auto parsed = Json::Parse(contents.value());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+
+  // The refusal carries the request size; the counters recorded right after
+  // it on the same thread say what held the pool.
+  // Instants carry their value as args.v, counters as args.value.
+  auto value_of = [](const Json &event) -> uint64_t {
+    const Json *args = event.Find("args");
+    if (args == nullptr) {
+      return 0;
+    }
+    const Json *v = args->Find("v");
+    if (v == nullptr) {
+      v = args->Find("value");
+    }
+    return v != nullptr ? v->AsUint() : 0;
+  };
+  const Json *rejection = nullptr;
+  uint64_t memory_used = 0;
+  uint64_t pinned = 0;
+  for (const Json &event : parsed.value().Find("traceEvents")->elements()) {
+    const std::string &name = event.Find("name")->AsString();
+    if (name == "oom_rejection" && value_of(event) == kRequest) {
+      rejection = &event;
+      continue;
+    }
+    if (rejection == nullptr ||
+        event.Find("tid")->AsUint() != rejection->Find("tid")->AsUint()) {
+      continue;
+    }
+    if (name == "bm.memory_used") {
+      memory_used = value_of(event);
+    } else if (name == "bm.pinned_buffers") {
+      pinned = value_of(event);
+    }
+  }
+  ASSERT_TRUE(rejection != nullptr) << "no oom_rejection carrying the request";
+  EXPECT_EQ(memory_used, 2 * kPageSize);
+  EXPECT_EQ(pinned, 2u);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(FlightRecorderTest, DemotionDumpCarriesPlannerDecision) {
   std::string dir = ::testing::TempDir() + "ssagg_flight_demote_" +
                     std::to_string(::getpid());

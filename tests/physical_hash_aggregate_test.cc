@@ -218,6 +218,49 @@ TEST_P(HashAggregateE2ETest, EmptyInput) {
   EXPECT_EQ(collector.RowCount(), 0u);
 }
 
+TEST_P(HashAggregateE2ETest, NullResultsStayWithTheirGroups) {
+  // Every even key has only NULL values, so its SUM and MIN are NULL; odd
+  // keys have two values each. Partitions of 10,000 groups emit in several
+  // chunks, and a NULL result must not carry over into the next chunk.
+  BufferManager bm(temp_dir_, 512 * kPageSize);
+  TaskExecutor executor(Threads());
+  constexpr idx_t kGroups = 20000;
+  constexpr idx_t kRows = 2 * kGroups;
+  RangeSource source(
+      {LogicalTypeId::kInt64, LogicalTypeId::kInt64}, kRows,
+      [](DataChunk &chunk, idx_t start, idx_t count) {
+        for (idx_t i = 0; i < count; i++) {
+          const idx_t row = start + i;
+          const idx_t key = row % kGroups;
+          chunk.column(0).SetValue<int64_t>(i, static_cast<int64_t>(key));
+          chunk.column(1).SetValue<int64_t>(i, static_cast<int64_t>(row));
+          if (key % 2 == 0) {
+            chunk.column(1).validity().SetInvalid(i);
+          }
+        }
+        return Status::OK();
+      });
+  MaterializedCollector collector;
+  HashAggregateConfig config;
+  config.strategy = AggregateStrategy::kRadixMerge;
+  config.radix_bits = 1;
+  auto stats = RunGroupedAggregation(
+      bm, source, {0}, {{AggregateKind::kSum, 1}, {AggregateKind::kMin, 1}},
+      collector, executor, config);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  ASSERT_EQ(collector.RowCount(), kGroups);
+  for (const auto &row : collector.rows()) {
+    const int64_t key = row[0].GetInt64();
+    if (key % 2 == 0) {
+      EXPECT_TRUE(row[1].IsNull() && row[2].IsNull()) << "group " << key;
+    } else {
+      ASSERT_FALSE(row[1].IsNull() || row[2].IsNull()) << "group " << key;
+      EXPECT_EQ(row[1].GetInt64(), 2 * key + static_cast<int64_t>(kGroups));
+      EXPECT_EQ(row[2].GetInt64(), key);
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Threads, HashAggregateE2ETest,
                          ::testing::Values(1, 2, 4));
 
@@ -272,32 +315,6 @@ void CheckKeyedSums(const MaterializedCollector &collector, idx_t total_rows,
   EXPECT_TRUE(expected.empty());
 }
 
-// Records the buffer manager's non-paged bytes while results are emitted:
-// at that point the only non-paged charge is the entry array of the
-// phase-2 table whose partition is being pushed.
-class NonPagedProbeCollector : public MaterializedCollector {
- public:
-  explicit NonPagedProbeCollector(BufferManager &bm) : bm_(bm) {}
-
-  Status Sink(DataChunk &chunk, LocalSinkState &state) override {
-    const idx_t bytes = bm_.Snapshot().non_paged_bytes;
-    idx_t seen = max_non_paged_.load(std::memory_order_relaxed);
-    while (bytes > seen &&
-           !max_non_paged_.compare_exchange_weak(seen, bytes,
-                                                 std::memory_order_relaxed)) {
-    }
-    return MaterializedCollector::Sink(chunk, state);
-  }
-
-  idx_t MaxNonPagedBytes() const {
-    return max_non_paged_.load(std::memory_order_relaxed);
-  }
-
- private:
-  BufferManager &bm_;
-  std::atomic<idx_t> max_non_paged_{0};
-};
-
 const std::vector<AggregateRequest> kSumCount = {
     {AggregateKind::kSum, 1}, {AggregateKind::kCountStar, kInvalidIndex}};
 
@@ -334,7 +351,7 @@ TEST_F(PartitionTableSizingTest, DuplicateHeavyPartitionsAreSizedFromGroups) {
     return static_cast<int64_t>(HashUint64(row) % kGroups);
   };
   auto source = MakeKeyedSource(kRows, key_of);
-  NonPagedProbeCollector collector(bm);
+  MaterializedCollector collector;
   HashAggregateConfig config;
   config.strategy = AggregateStrategy::kRadixMerge;
   config.radix_bits = kRadixBits;
@@ -350,13 +367,16 @@ TEST_F(PartitionTableSizingTest, DuplicateHeavyPartitionsAreSizedFromGroups) {
   // Big enough for the groups: no partition table resized...
   EXPECT_EQ(s.ht.resizes, 0u);
   // ...and far smaller than an array sized for the rows would be.
+  // With one thread, the largest non-paged charge is one partition's entry
+  // array: the 1,024-entry phase-1 table is smaller, and gone by phase 2.
   const idx_t rows_per_partition = s.materialized_rows >> kRadixBits;
   const idx_t row_sized_bytes =
       std::bit_ceil(rows_per_partition + kVectorSize) * sizeof(uint64_t);
-  EXPECT_GT(collector.MaxNonPagedBytes(), 0u);
-  EXPECT_LE(2 * collector.MaxNonPagedBytes(), row_sized_bytes)
-      << "entry array of " << collector.MaxNonPagedBytes()
-      << " B for " << rows_per_partition << " rows per partition";
+  const idx_t peak = bm.Snapshot().non_paged_peak;
+  EXPECT_GT(peak, 0u);
+  EXPECT_LE(2 * peak, row_sized_bytes)
+      << "entry array of " << peak << " B for " << rows_per_partition
+      << " rows per partition";
 }
 
 TEST_F(PartitionTableSizingTest, LowEstimateOnlyCostsResizes) {
@@ -383,6 +403,137 @@ TEST_F(PartitionTableSizingTest, LowEstimateOnlyCostsResizes) {
   const idx_t groups = 8 + (kRows - kSampledRows);
   EXPECT_EQ(stats.value().unique_groups, groups);
   EXPECT_LT(stats.value().planner.estimated_groups, groups / 10);
+}
+
+// Phase 2 groups a near-unique radix partition in place, over its own rows
+// (DESIGN.md section 4); a partition that fails the near-unique or the
+// memory rule is copied into its table instead.
+class Phase2InPlaceTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    temp_dir_ = ::testing::TempDir() + "ssagg_in_place_test_" +
+                std::to_string(::getpid());
+    (void)FileSystem::Default().CreateDirectories(temp_dir_);
+  }
+  std::string temp_dir_;
+};
+
+TEST_F(Phase2InPlaceTest, NearUniqueSpilledPartitionsGroupInPlace) {
+  // 40,000 VARCHAR keys; rows 40,000..51,999 repeat keys 0..11,999 long
+  // after a phase-1 reset (a 1,024-entry table resets every 682 groups), so
+  // 30% of the keys reach phase 2 twice. Every row carries a long ANY_VALUE
+  // payload. At 6 MiB the phase-1 partitions spill, and phase 2 reloads
+  // them, recomputing their string pointers.
+  constexpr idx_t kGroups = 40000;
+  constexpr idx_t kRows = kGroups + 12000;
+  auto key_of = [](idx_t row) { return row < kGroups ? row : row - kGroups; };
+  auto key_string = [](idx_t key) {
+    return "group_key_" + std::to_string(key);
+  };
+  auto payload = [](idx_t key) {
+    return "payload_of_group_" + std::to_string(key) +
+           "_padded_well_past_the_inline_limit";
+  };
+  RangeSource source(
+      {LogicalTypeId::kVarchar, LogicalTypeId::kInt64,
+       LogicalTypeId::kVarchar},
+      kRows, [&](DataChunk &chunk, idx_t start, idx_t count) {
+        for (idx_t i = 0; i < count; i++) {
+          const idx_t row = start + i;
+          chunk.column(0).SetString(i, key_string(key_of(row)));
+          chunk.column(1).SetValue<int64_t>(i, static_cast<int64_t>(row));
+          chunk.column(2).SetString(i, payload(key_of(row)));
+        }
+        return Status::OK();
+      });
+  BufferManager bm(temp_dir_, 24 * kPageSize);
+  {
+    TaskExecutor executor(2);
+    MaterializedCollector collector;
+    HashAggregateConfig config;
+    config.strategy = AggregateStrategy::kRadixMerge;
+    config.radix_bits = 2;
+    config.phase1_capacity = 1024;
+    config.early_aggregation = EarlyAggMode::kOff;
+    auto stats = RunGroupedAggregation(
+        bm, source, {0},
+        {{AggregateKind::kSum, 1},
+         {AggregateKind::kCountStar, kInvalidIndex},
+         {AggregateKind::kAnyValue, 2}},
+        collector, executor, config);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+
+    std::map<std::string, std::pair<int64_t, int64_t>> expected;
+    for (idx_t row = 0; row < kRows; row++) {
+      auto &entry = expected[key_string(key_of(row))];
+      entry.first += static_cast<int64_t>(row);
+      entry.second++;
+    }
+    ASSERT_EQ(collector.RowCount(), kGroups);
+    for (const auto &row : collector.rows()) {
+      auto it = expected.find(row[0].GetString());
+      ASSERT_NE(it, expected.end()) << "unexpected group "
+                                    << row[0].GetString();
+      EXPECT_EQ(row[1].GetInt64(), it->second.first);
+      EXPECT_EQ(row[2].GetInt64(), it->second.second);
+      const idx_t key = std::stoull(row[0].GetString().substr(10));
+      EXPECT_EQ(row[3].GetString(), payload(key));
+      expected.erase(it);
+    }
+    EXPECT_TRUE(expected.empty());
+
+    const HashAggregateStats &s = stats.value();
+    EXPECT_EQ(s.materialized_rows, kRows) << "phase 2 must see the repeats";
+    EXPECT_GT(bm.Snapshot().temp_reads, 0u)
+        << "phase 2 must reload spilled partitions";
+    EXPECT_EQ(s.phase2_in_place_partitions, idx_t{1} << config.radix_bits);
+    EXPECT_EQ(s.phase2_copied_rows, 0u);
+  }
+  EXPECT_EQ(bm.PinnedBufferCount(), 0u);
+  EXPECT_EQ(bm.memory_used(), 0u);
+}
+
+TEST_F(Phase2InPlaceTest, DuplicateHeavyPartitionsThatDoNotFitAreCopied) {
+  // Each of 40,000 keys appears 8 times, once per 40,000-row period: the
+  // planner's 8,192-row sample sees only distinct keys and calls the data
+  // unique, and the 1,024-entry phase-1 table collapses nothing. Each
+  // partition's 160,000 rows take more than the 4 MiB limit while its
+  // 20,000 groups fit: in place would pin the whole partition and fail, so
+  // the memory rule sends every partition down the copy path.
+  constexpr idx_t kGroups = 40000;
+  constexpr idx_t kRows = 8 * kGroups;
+  auto key_of = [](idx_t row) { return static_cast<int64_t>(row % kGroups); };
+  auto source = MakeKeyedSource(kRows, key_of);
+  BufferManager bm(temp_dir_, 16 * kPageSize);
+  {
+    TaskExecutor executor(1);
+    MaterializedCollector collector;
+    HashAggregateConfig config;
+    config.strategy = AggregateStrategy::kRadixMerge;
+    config.radix_bits = 1;
+    config.phase1_capacity = 1024;
+    config.planner_sample_rows = 8192;
+    config.early_aggregation = EarlyAggMode::kOff;
+    auto stats = RunGroupedAggregation(bm, source, {0}, kSumCount, collector,
+                                       executor, config);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    CheckKeyedSums(collector, kRows, key_of);
+    const HashAggregateStats &s = stats.value();
+    EXPECT_GT(s.planner.estimated_groups, kRows / 2)
+        << "the estimate must call the data unique";
+    EXPECT_EQ(s.materialized_rows, kRows);
+    auto row_layout = AggregateRowLayout::Build(
+        {LogicalTypeId::kInt64, LogicalTypeId::kInt64}, {0}, kSumCount);
+    ASSERT_TRUE(row_layout.ok());
+    const idx_t partition_bytes = (s.materialized_rows >> config.radix_bits) *
+                                  row_layout.value().layout.RowWidth();
+    EXPECT_GT(partition_bytes, bm.memory_limit())
+        << "a partition must not fit in memory at all";
+    EXPECT_EQ(s.phase2_in_place_partitions, 0u);
+    EXPECT_EQ(s.phase2_copied_rows, kRows);
+  }
+  EXPECT_EQ(bm.PinnedBufferCount(), 0u);
+  EXPECT_EQ(bm.memory_used(), 0u);
 }
 
 }  // namespace
