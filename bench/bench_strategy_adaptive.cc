@@ -1,16 +1,16 @@
-// Cardinality sweep for the adaptive merge-strategy planner (DESIGN.md
-// section 11): runs the full aggregation operator over group counts
-// 10 .. 10M in dense and sparse key distributions, once per forced strategy
-// (central, tree, radix) and once with the adaptive planner, all with ample
-// memory so the merge strategies are compared without spill noise.
+// Cardinality sweep for the adaptive strategy planner (DESIGN.md section
+// 11): runs the full aggregation operator over group counts 10 .. 10M in
+// dense and sparse key distributions, once per forced strategy (central,
+// radix) and once with the adaptive planner, all with ample memory so the
+// strategies are compared without spill noise.
 //
-// The interesting readouts: at low cardinality the right-sized central /
-// tree merge tables stay cache-resident and beat the radix plan's
+// The interesting readouts: at low cardinality the right-sized central
+// thread tables stay cache-resident and beat the radix plan's
 // materialize-everything pipeline; at high cardinality the radix plan wins
 // and the adaptive run must track it (its sampling overhead is the gap).
-// The adaptive column also reports which strategy was picked and the
+// The adaptive column also reports which strategy was picked, the
 // planner's cardinality estimate — drift against the truth column is a
-// calibration bug.
+// calibration bug — and the thread count the cost models priced with.
 //
 // Env: SSAGG_BENCH_MAX_GROUPS caps the group axis (default 10M);
 // SSAGG_BENCH_THREADS / SSAGG_BENCH_TMPDIR as usual. Writes
@@ -134,6 +134,7 @@ Json RunJson(const RunResult &r) {
   object.Set("advised_strategy",
              AggregateStrategyName(r.stats.planner.advised));
   object.Set("estimated_groups", r.stats.planner.estimated_groups);
+  object.Set("planner_threads", r.stats.planner.threads);
   object.Set("sampling_seconds", r.stats.sampling_seconds);
   object.Set("demoted", r.stats.planner_demoted);
   return object;
@@ -149,17 +150,16 @@ int main() {
   std::vector<idx_t> group_counts = {10, 1'000, 100'000, 1'000'000,
                                      10'000'000};
   const std::vector<AggregateStrategy> forced = {
-      AggregateStrategy::kCentralMerge, AggregateStrategy::kTreeMerge,
-      AggregateStrategy::kRadixMerge};
+      AggregateStrategy::kCentralMerge, AggregateStrategy::kRadixMerge};
 
-  std::printf("Merge-strategy sweep: forced central/tree/radix vs the "
-              "adaptive planner\n(%llu threads, SUM over int64 keys, ample "
+  std::printf("Strategy sweep: forced central/radix vs the adaptive "
+              "planner\n(%llu threads, SUM over int64 keys, ample "
               "memory)\n\n",
               static_cast<unsigned long long>(options.threads));
-  std::vector<int> widths = {7, 9, 8, 10, 10, 10, 10, 9, 12};
+  std::vector<int> widths = {7, 9, 8, 10, 10, 10, 9, 12, 9};
   PrintRule(widths);
-  PrintRow({"dist", "groups", "rows M", "central s", "tree s", "radix s",
-            "adapt s", "picked", "est groups"},
+  PrintRow({"dist", "groups", "rows M", "central s", "radix s", "adapt s",
+            "picked", "est groups", "priced T"},
            widths);
   PrintRule(widths);
 
@@ -181,10 +181,10 @@ int main() {
                 Fmt("%.1f", static_cast<double>(rows) / 1e6),
                 Fmt("%.2f", results[0].seconds),
                 Fmt("%.2f", results[1].seconds),
-                Fmt("%.2f", results[2].seconds),
                 Fmt("%.2f", adaptive.seconds),
                 AggregateStrategyName(adaptive.stats.planner.strategy),
-                std::to_string(adaptive.stats.planner.estimated_groups)},
+                std::to_string(adaptive.stats.planner.estimated_groups),
+                std::to_string(adaptive.stats.planner.threads)},
                widths);
       std::fflush(stdout);
 
@@ -193,17 +193,16 @@ int main() {
       config.Set("groups", groups);
       config.Set("rows", rows);
       config.Set("central", RunJson(results[0]));
-      config.Set("tree", RunJson(results[1]));
-      config.Set("radix", RunJson(results[2]));
+      config.Set("radix", RunJson(results[1]));
       config.Set("adaptive", RunJson(adaptive));
       configs.Push(std::move(config));
     }
   }
   PrintRule(widths);
-  std::printf("\n'picked' / 'est groups' come from the adaptive run's "
-              "planner decision; the\nforced columns share the same data "
-              "and configuration. Adaptive should track\nthe per-row "
-              "winner, paying only the sampling window.\n");
+  std::printf("\n'picked' / 'est groups' / 'priced T' come from the "
+              "adaptive run's planner\ndecision; the forced columns share "
+              "the same data and configuration. Adaptive\nshould track the "
+              "per-row winner, paying only the sampling window.\n");
 
   Json payload = Json::Object();
   payload.Set("configs", std::move(configs));

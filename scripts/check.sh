@@ -28,8 +28,11 @@
 #
 # The plain build also runs a strategy smoke step: two canned queries at
 # the planner's cardinality extremes, asserting the adaptive planner picks
-# central merge for a handful of groups and the radix plan for ~1M groups
-# (DESIGN.md section 11), with its decision visible in the profile JSON.
+# central thread tables for a handful of groups and the radix plan for ~1M
+# groups (DESIGN.md section 11), with its decision visible in the profile
+# JSON. The central run must also show that its phase 2 ran partition-wise,
+# that its planner-sized tables never resized, and that tables torn down
+# at the transition and at Combine were not counted as resets.
 #
 # Copy guard: the radix run of the strategy smoke and the spilling run of
 # the profile smoke group unique input, so phase 2 must take every
@@ -179,7 +182,7 @@ strategy_smoke() {
   python3 - "$work" <<'EOF'
 import json, sys
 work = sys.argv[1]
-# AggregateStrategy enum values: 1 central, 2 tree, 3 radix.
+# AggregateStrategy enum values: 1 central, 3 radix.
 for name, expected, label in (("low", 1, "central"), ("high", 3, "radix")):
     with open(f"{work}/{name}.json") as f:
         doc = json.load(f)
@@ -190,10 +193,21 @@ for name, expected, label in (("low", 1, "central"), ("high", 3, "radix")):
     assert chosen == expected, \
         f"{name}-cardinality query chose strategy {chosen}, wanted {label}: " \
         f"estimated_groups={estimated}"
+    copied = counters.get("agg.phase2_copied_rows")
+    in_place = counters.get("agg.phase2_in_place_partitions", 0)
+    if name == "low":
+        # One phase 2 for every plan: the central thread tables' partitions
+        # are aggregated partition-wise, like the radix plan's.
+        assert copied + in_place > 0, \
+            f"central phase 2 did not run partition-wise: {counters}"
+        # Planner-sized central tables leave a chunk of headroom, and a
+        # table torn down is released, not reset.
+        resizes = counters.get("agg.ht_resizes")
+        resets = counters.get("agg.phase1_resets")
+        assert resizes == 0 and resets == 0, \
+            f"central run read {resizes} resizes and {resets} resets"
     if name == "high":
         # Copy guard: the radix plan groups unique partitions in place.
-        copied = counters.get("agg.phase2_copied_rows")
-        in_place = counters.get("agg.phase2_in_place_partitions", 0)
         assert copied == 0 and in_place > 0, \
             f"phase 2 copied {copied} rows, {in_place} partitions in place"
     print(f"strategy smoke ok [{name}]: chose {label}, "

@@ -79,8 +79,6 @@ const char *AggregateStrategyName(AggregateStrategy s) {
       return "adaptive";
     case AggregateStrategy::kCentralMerge:
       return "central";
-    case AggregateStrategy::kTreeMerge:
-      return "tree";
     case AggregateStrategy::kRadixMerge:
       return "radix";
   }
@@ -91,7 +89,6 @@ std::optional<AggregateStrategy> ParseAggregateStrategy(
     const std::string &name) {
   if (name == "adaptive") return AggregateStrategy::kAdaptive;
   if (name == "central") return AggregateStrategy::kCentralMerge;
-  if (name == "tree") return AggregateStrategy::kTreeMerge;
   if (name == "radix") return AggregateStrategy::kRadixMerge;
   return std::nullopt;
 }
@@ -104,7 +101,7 @@ Result<std::optional<AggregateStrategy>> AggregateStrategyFromEnv() {
   auto parsed = ParseAggregateStrategy(env);
   if (!parsed) {
     return Status::InvalidArgument(
-        std::string("SSAGG_AGG_STRATEGY must be adaptive|central|tree|radix, "
+        std::string("SSAGG_AGG_STRATEGY must be adaptive|central|radix, "
                     "got \"") +
         env + "\"");
   }
@@ -155,7 +152,7 @@ double Phase1ProbeSeconds(const PlannerInputs &in, const AggregateCostModel &m,
   return rows * m.ProbeNs(footprint_bytes) / threads * 1e-9;
 }
 
-/// Footprint of a right-sized central/tree thread table: entry array plus
+/// Footprint of a right-sized central thread table: entry array plus
 /// the group rows themselves (they are revisited on every combine).
 double LocalTableFootprint(const PlannerInputs &in) {
   double entries =
@@ -181,21 +178,9 @@ double EmitSeconds(const PlannerInputs &in, const AggregateCostModel &m) {
 double CentralMergeCost(const PlannerInputs &in, const AggregateCostModel &m) {
   const double threads = static_cast<double>(std::max<idx_t>(1, in.threads));
   double seconds = Phase1ProbeSeconds(in, m, LocalTableFootprint(in));
-  // T-1 sequential merges of ~D rows each, on one thread.
+  // T-1 sequential merges of ~D rows each, on one thread (the retired
+  // central phase 2; see the header).
   seconds += (threads - 1) * in.estimated_groups * m.merge_row_ns * 1e-9;
-  seconds += threads * m.table_setup_ns * 1e-9;
-  return seconds + EmitSeconds(in, m);
-}
-
-double TreeMergeCost(const PlannerInputs &in, const AggregateCostModel &m) {
-  const double threads = static_cast<double>(std::max<idx_t>(1, in.threads));
-  double rounds = std::ceil(std::log2(std::max(2.0, threads)));
-  double seconds = Phase1ProbeSeconds(in, m, LocalTableFootprint(in));
-  // Each barrier round merges pairs in parallel: wall time ~ one D-row
-  // merge per round, plus the round's task scheduling.
-  seconds +=
-      rounds * (in.estimated_groups * m.merge_row_ns + threads * m.task_ns) *
-      1e-9;
   seconds += threads * m.table_setup_ns * 1e-9;
   return seconds + EmitSeconds(in, m);
 }
@@ -324,12 +309,12 @@ void AggregatePlanner::DecideLocked() {
   d.estimated_groups = static_cast<idx_t>(in.estimated_groups);
   d.reduction_ratio = in.reduction_ratio;
   d.sampled_rows = observed_rows_;
+  d.threads = in.threads;
   d.central_cost = CentralMergeCost(in, options_.cost_model);
-  d.tree_cost = TreeMergeCost(in, options_.cost_model);
   d.radix_cost = RadixMergeCost(in, options_.cost_model);
 
-  // Hard gates before the cost comparison: central/tree keep ~D fully
-  // aggregated rows per thread pinned in resizable tables, so they are only
+  // Hard gates before the cost comparison: central keeps ~D fully
+  // aggregated rows per thread pinned in resizable tables, so it is only
   // admissible when that provably fits. Radix is the only strategy whose
   // footprint does not scale with cardinality (the paper's robustness
   // argument), so everything uncertain lands there.
@@ -341,32 +326,32 @@ void AggregatePlanner::DecideLocked() {
       (options_.memory_limit_bytes == 0 ||
        local_bytes <= 0.25 * static_cast<double>(options_.memory_limit_bytes));
 
-  d.advised = AggregateStrategy::kRadixMerge;
-  if (admissible) {
-    // Ties break toward the earlier entry: central is the simplest plan.
-    if (d.central_cost <= d.tree_cost && d.central_cost <= d.radix_cost) {
-      d.advised = AggregateStrategy::kCentralMerge;
-    } else if (d.tree_cost <= d.radix_cost) {
-      d.advised = AggregateStrategy::kTreeMerge;
-    }
-  }
+  // Ties break toward central, the simpler table.
+  d.advised = admissible && d.central_cost <= d.radix_cost
+                  ? AggregateStrategy::kCentralMerge
+                  : AggregateStrategy::kRadixMerge;
   d.forced = options_.strategy != AggregateStrategy::kAdaptive;
   d.strategy = d.forced ? options_.strategy : d.advised;
 
   const double groups = in.estimated_groups;
-  d.local_table_capacity = NextPowerOfTwo(static_cast<idx_t>(
-      std::min(std::max(1024.0, 4.0 * groups), std::ldexp(1.0, 22))));
+  // Room for the estimate plus one all-new chunk below the fill ratio, as
+  // phase-2 tables get: the probe round's grow check reserves a whole chunk,
+  // so a table without that room doubles on its first chunk.
+  const double chunk_headroom =
+      (groups + static_cast<double>(kVectorSize)) / options_.reset_fill_ratio +
+      1;
+  d.local_table_capacity = NextPowerOfTwo(static_cast<idx_t>(std::min(
+      std::max(chunk_headroom, 4.0 * groups), std::ldexp(1.0, 22))));
   d.demote_group_limit = static_cast<idx_t>(
       std::min(std::max(8.0 * groups, 65536.0), std::ldexp(1.0, 23)));
 
-  // Direct-index fast path: worth it exactly where central/tree live (a
-  // small, hot group set), and only when the single int64 key's sampled
-  // span fits the pointer cache. Unsampled out-of-range keys are handled by
-  // the table's chunk-wise fallback, so this is a performance bet, not a
+  // Direct-index fast path: worth it exactly where central lives (a small,
+  // hot group set), and only when the single int64 key's sampled span fits
+  // the pointer cache. Unsampled out-of-range keys are handled by the
+  // table's chunk-wise fallback, so this is a performance bet, not a
   // correctness bet.
   if (options_.enable_direct_index && key_range_seen_ &&
-      (d.strategy == AggregateStrategy::kCentralMerge ||
-       d.strategy == AggregateStrategy::kTreeMerge)) {
+      d.strategy == AggregateStrategy::kCentralMerge) {
     const uint64_t span = static_cast<uint64_t>(key_max_) -
                           static_cast<uint64_t>(key_min_) + 1;
     if (span != 0 && span <= kDirectIndexMaxRange) {
@@ -436,7 +421,7 @@ bool AggregatePlanner::ShouldEarlyAggregate() {
     return false;  // no duplication evidence yet
   }
   if (EffectiveStrategy() != AggregateStrategy::kRadixMerge) {
-    // Central/tree tables are already fully aggregated; nothing to compact.
+    // Central tables are already fully aggregated; nothing to compact.
     return false;
   }
   PlannerDecision d = decision();

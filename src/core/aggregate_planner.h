@@ -15,31 +15,29 @@ namespace ssagg {
 
 class MetricsRegistry;
 
-/// How phase-1 thread-local results are merged into the final groups
-/// (PAPERS.md "Global Hash Tables Strike Back!": the optimal merge shape
-/// flips with group cardinality).
+/// Which phase-1 table each thread aggregates into (PAPERS.md "Global Hash
+/// Tables Strike Back!": the best table shape flips with group
+/// cardinality). Either way, phase 2 is the same partition-wise merge: every
+/// thread table is radix-partitioned with the query's fan-out, and its
+/// partitions join the exchange at Combine. The values are recorded in
+/// profiles and the ledger, so they do not move (2 is unused).
 enum class AggregateStrategy : uint8_t {
-  /// Sample the first chunks, estimate cardinality, pick one of the three
+  /// Sample the first chunks, estimate cardinality, pick one of the two
   /// concrete strategies below with the cost models.
   kAdaptive = 0,
-  /// Each thread keeps one right-sized resizable table; all tables are
-  /// merged into a single table at the end. Wins at low cardinality, where
-  /// the merge is tiny and the per-thread table stays cache-resident.
+  /// Each thread keeps one right-sized resizable table, so every group is
+  /// materialized once per thread. Wins at low cardinality, where the table
+  /// stays cache-resident and phase 2 has almost nothing to merge.
   kCentralMerge = 1,
-  /// Like central, but the tables are merged pairwise in parallel rounds
-  /// (ceil(log2 T) rounds instead of T-1 sequential merges). Wins at mid
-  /// cardinality with enough threads that the merge itself is worth
-  /// parallelizing.
-  kTreeMerge = 2,
-  /// The existing two-phase radix plan (fixed-size thread tables that
-  /// materialize into 2^radix_bits spillable partitions, partition-wise
-  /// parallel merge). The robust external default; the only strategy whose
-  /// memory footprint does not scale with cardinality.
+  /// The paper's two-phase radix plan: fixed-size thread tables that reset
+  /// at 2/3 fill and materialize into 2^radix_bits spillable partitions.
+  /// The robust external default; the only strategy whose memory footprint
+  /// does not scale with cardinality.
   kRadixMerge = 3,
 };
 
 const char *AggregateStrategyName(AggregateStrategy s);
-/// Parses "adaptive" / "central" / "tree" / "radix" (case-sensitive).
+/// Parses "adaptive" / "central" / "radix" (case-sensitive).
 std::optional<AggregateStrategy> ParseAggregateStrategy(
     const std::string &name);
 /// Forced override from the SSAGG_AGG_STRATEGY environment variable.
@@ -87,12 +85,11 @@ struct AggregateCostModel {
   double probe_l2_ns = 9.0;    // <= 4 MiB
   double probe_dram_ns = 14.0;  // beyond LLC
   /// Per-row cost of scanning materialized rows and merging them into a
-  /// resizable table (phase 2 / central / tree merges).
+  /// resizable table (phase 2, and the central plan's transition).
   double merge_row_ns = 25.0;
   /// Per-group cost of finalizing and emitting an output row.
   double emit_row_ns = 15.0;
-  /// Fixed cost of scheduling one task (and, for tree merge, one barrier
-  /// round costs roughly one task per thread).
+  /// Fixed cost of scheduling one task.
   double task_ns = 30000.0;
   /// Fixed cost of standing up one resizable merge table.
   double table_setup_ns = 20000.0;
@@ -138,11 +135,13 @@ struct PlannerInputs {
   double reset_fill_ratio = 2.0 / 3.0;
 };
 
-/// The three cost models the planner compares (ROADMAP open item 1 asked
-/// for them as explicit functions). Each returns estimated wall-clock
-/// seconds for phase 1 + merge + emit under that strategy.
+/// The two cost models the planner compares. Each returns estimated
+/// wall-clock seconds for phase 1 + merge + emit under that strategy.
+/// CentralMergeCost still prices the sequential merge of the thread tables
+/// that phase 2 ran before it became partition-wise for every plan; the
+/// constants are left as they are so that decisions do not move until the
+/// model is refitted (ROADMAP item 2).
 double CentralMergeCost(const PlannerInputs &in, const AggregateCostModel &m);
-double TreeMergeCost(const PlannerInputs &in, const AggregateCostModel &m);
 double RadixMergeCost(const PlannerInputs &in, const AggregateCostModel &m);
 
 /// The chosen plan plus everything needed to explain it (QueryProfile /
@@ -156,17 +155,20 @@ struct PlannerDecision {
   idx_t estimated_groups = 0;
   double reduction_ratio = 1;
   idx_t sampled_rows = 0;
+  /// Pipeline threads the cost models priced with: those that had called
+  /// InitLocal when the decision was made, which can be fewer than the
+  /// executor runs.
+  idx_t threads = 0;
   /// Cost-model outputs, in estimated seconds.
   double central_cost = 0;
-  double tree_cost = 0;
   double radix_cost = 0;
-  /// Initial entry-array capacity for central/tree thread-local tables.
+  /// Initial entry-array capacity for central thread tables.
   idx_t local_table_capacity = 0;
-  /// Central/tree tables above this many groups demote the query to radix
+  /// Central tables above this many groups demote the query to radix
   /// (misestimate guard).
   idx_t demote_group_limit = 0;
   /// Perfect-hash fast path: the query groups by a single int64 key whose
-  /// sampled value span fits kDirectIndexMaxRange, so central/tree thread
+  /// sampled value span fits kDirectIndexMaxRange, so central thread
   /// tables index group-row pointers by key value directly (no hashing, no
   /// probe). Keys outside [direct_min, direct_min + direct_range) that the
   /// sample never saw fall back to the generic path chunk-wise at run time.
@@ -206,8 +208,8 @@ class AggregatePlanner {
 
   AggregatePlanner(Options options, MetricsRegistry &registry);
 
-  /// True once the decision is made (forced strategies decide immediately;
-  /// adaptive decides when the sample window fills or on ForceDecision).
+  /// True once the decision is made: when the sample window fills, or on
+  /// EnsureDecided. Forced strategies go through the window too.
   [[nodiscard]] bool decided() const {
     return decided_.load(std::memory_order_acquire);
   }
@@ -246,10 +248,9 @@ class AggregatePlanner {
     return decision().strategy;
   }
 
-  /// Misestimate guard: a central/tree thread table outgrew the decision's
-  /// demote_group_limit, so every thread falls back to the radix plan
-  /// (central/tree tables are radix-partitioned with the same fan-out
-  /// precisely so their rows can still be exchanged partition-wise).
+  /// Misestimate guard: a central thread table outgrew the decision's
+  /// demote_group_limit, so every thread falls back to the fixed radix
+  /// tables (the retired table's rows join the exchange like any other).
   void Demote();
   [[nodiscard]] bool demoted() const {
     return demoted_.load(std::memory_order_acquire);

@@ -259,7 +259,7 @@ Status GroupedAggregateHashTable::FindOrCreateGroupsVectorized(
     // Software-prefetch the entries this round will inspect; for a table
     // past cache size this overlaps the dependent loads of the salt scan.
     // An entry array at or under 64 KiB is cache-resident (the planner's
-    // central/tree tables are sized to land here at low cardinality), so
+    // central tables are sized to land here at low cardinality), so
     // the pass would be pure issue overhead and is skipped.
     const idx_t *sel = remaining_sel_.data();
     if (capacity_ * sizeof(uint64_t) > idx_t{64} * 1024) {

@@ -74,31 +74,6 @@ Status PhysicalHashAggregate::MakePhase1Table(
   return Status::OK();
 }
 
-Status PhysicalHashAggregate::MakeMergeTable(
-    idx_t capacity, std::unique_ptr<GroupedAggregateHashTable> *out) {
-  GroupedAggregateHashTable::Config ht_config;
-  ht_config.capacity = capacity;
-  // Same fan-out as the fixed tables: a demoted merge table's rows can then
-  // join the partition-wise exchange, and central/tree finals emit their
-  // partitions in parallel.
-  ht_config.radix_bits = config_.radix_bits;
-  ht_config.resizable = true;
-  ht_config.use_salt = config_.use_salt;
-  ht_config.vectorized_probe = config_.vectorized_probe;
-  ht_config.reset_fill_ratio = config_.reset_fill_ratio;
-  if (planner_->decided()) {
-    const PlannerDecision decision = planner_->decision();
-    if (decision.direct_index) {
-      ht_config.direct_min = decision.direct_min;
-      ht_config.direct_range = decision.direct_range;
-    }
-  }
-  SSAGG_ASSIGN_OR_RETURN(*out,
-                         GroupedAggregateHashTable::Create(
-                             buffer_manager_, row_layout_, ht_config));
-  return Status::OK();
-}
-
 void PhysicalHashAggregate::ObserveChunkKeyRange(const DataChunk &chunk) {
   const Vector &key_vec = chunk.column(direct_key_column_);
   const auto *keys = key_vec.Values<int64_t>();
@@ -151,9 +126,7 @@ Status PhysicalHashAggregate::Sink(DataChunk &chunk, LocalSinkState &state) {
   }
   PublishPlannerEstimate();
 
-  const AggregateStrategy strategy = planner_->EffectiveStrategy();
-  if (strategy == AggregateStrategy::kCentralMerge ||
-      strategy == AggregateStrategy::kTreeMerge) {
+  if (planner_->EffectiveStrategy() == AggregateStrategy::kCentralMerge) {
     if (!local.merge_ht) {
       SSAGG_RETURN_NOT_OK(TransitionLocal(local));
     }
@@ -198,12 +171,30 @@ void PhysicalHashAggregate::PublishPlannerEstimate() {
 Status PhysicalHashAggregate::TransitionLocal(LocalState &local) {
   const PlannerDecision decision = planner_->decision();
   TraceSpan span("planner.transition", "agg", decision.local_table_capacity);
-  std::unique_ptr<GroupedAggregateHashTable> merge_ht;
-  SSAGG_RETURN_NOT_OK(
-      MakeMergeTable(decision.local_table_capacity, &merge_ht));
+  GroupedAggregateHashTable::Config ht_config;
+  ht_config.capacity = decision.local_table_capacity;
+  // Same fan-out as the fixed tables: its rows join the partition-wise
+  // exchange at Combine, demoted or not.
+  ht_config.radix_bits = config_.radix_bits;
+  ht_config.resizable = true;
+  ht_config.use_salt = config_.use_salt;
+  ht_config.vectorized_probe = config_.vectorized_probe;
+  ht_config.reset_fill_ratio = config_.reset_fill_ratio;
+  if (decision.direct_index) {
+    ht_config.direct_min = decision.direct_min;
+    ht_config.direct_range = decision.direct_range;
+  }
+  SSAGG_ASSIGN_OR_RETURN(
+      auto merge_ht, GroupedAggregateHashTable::Create(buffer_manager_,
+                                                       row_layout_, ht_config));
   // Fold the rows sampled into the fixed table (possibly duplicated across
   // resets) into the right-sized table, then retire the fixed table.
-  SSAGG_RETURN_NOT_OK(MergeTableInto(*merge_ht, *local.ht, nullptr));
+  local.ht->ReleasePointerTable();
+  auto &sampled = local.ht->data();
+  for (idx_t p = 0; p < sampled.PartitionCount(); p++) {
+    SSAGG_RETURN_NOT_OK(
+        MergeCollectionInto(*merge_ht, sampled.partition(p), nullptr));
+  }
   local.carry_stats.Merge(local.ht->stats());
   local.carry_resets += local.ht->stats().resets;
   local.ht.reset();
@@ -216,7 +207,7 @@ Status PhysicalHashAggregate::DemoteLocal(LocalState &local) {
   TraceSpan span("planner.demote", "agg", local.merge_ht->Count());
   // Release the merge table's pins so its pages become spillable; its rows
   // are fully grouped within the table, and join global_data_ at Combine.
-  local.merge_ht->ClearPointerTable();
+  local.merge_ht->ReleasePointerTable();
   local.retired.push_back(std::move(local.merge_ht));
   return MakePhase1Table(&local.ht);
 }
@@ -306,7 +297,7 @@ Status PhysicalHashAggregate::EarlyCompactLocal(LocalState &local) {
         auto compactor, GroupedAggregateHashTable::Create(
                             buffer_manager_, row_layout_, ht_config));
     SSAGG_RETURN_NOT_OK(MergeCollectionInto(*compactor, part, nullptr));
-    compactor->ClearPointerTable();
+    compactor->ReleasePointerTable();
     // Replace the partition's contents with the compacted rows.
     part.Reset();
     part.Combine(compactor->data().partition(0));
@@ -345,58 +336,24 @@ Status PhysicalHashAggregate::MergeCollectionInto(
   return Status::OK();
 }
 
-Status PhysicalHashAggregate::MergeTableInto(
-    GroupedAggregateHashTable &target, GroupedAggregateHashTable &source,
-    TaskExecutor *executor) {
-  source.ClearPointerTable();  // releases the append pins before destroying
-  auto &data = source.data();
-  for (idx_t p = 0; p < data.PartitionCount(); p++) {
-    SSAGG_RETURN_NOT_OK(
-        MergeCollectionInto(target, data.partition(p), executor));
-  }
-  return Status::OK();
-}
-
 Status PhysicalHashAggregate::Combine(LocalSinkState &state) {
   auto &local = static_cast<LocalState &>(state);
-  // Tiny inputs may finish inside the sampling window; the merge path
-  // below needs a decision either way. A thread that never got a morsel
-  // must NOT force it, though: it can reach Combine while other threads
-  // are still sampling, and deciding off its empty sample would pick
-  // radix for every tiny query. Threads with no data have nothing to
-  // merge, so they can leave the window open (EmitResults decides if
-  // nobody else did).
-  const bool has_data = (local.ht && local.ht->data().Count() > 0) ||
-                        local.merge_ht != nullptr || !local.retired.empty();
-  if (has_data) {
-    planner_->EnsureDecided();
-  }
-  const AggregateStrategy strategy = planner_->EffectiveStrategy();
-  if (local.merge_ht && strategy == AggregateStrategy::kRadixMerge) {
-    // Demoted after this thread transitioned but before it combined.
-    local.merge_ht->ClearPointerTable();
+  // Every table the thread built joins the partition-wise exchange, a
+  // central table included: it is radix-partitioned with the query's
+  // fan-out. The exchange releases the append pins, and each entry array
+  // is freed with its table after the rows are handed over: freed before,
+  // it measurably raised peak RSS (DESIGN.md section 11).
+  if (local.merge_ht) {
     local.retired.push_back(std::move(local.merge_ht));
   }
   if (local.ht) {
-    local.ht->ClearPointerTable();  // releases the append pins
+    local.retired.push_back(std::move(local.ht));
   }
   ScopedLock guard(lock_);
-  for (auto &retired : local.retired) {
-    PushGlobalData(*retired);
-    retired.reset();
+  for (auto &table : local.retired) {
+    PushGlobalData(*table);
   }
   local.retired.clear();
-  if (local.ht) {
-    PushGlobalData(*local.ht);
-    local.ht.reset();
-  }
-  if (local.merge_ht) {
-    // Central/tree: hand the fully aggregated thread table to EmitResults.
-    // Its pointer table stays valid — the central target keeps probing it —
-    // and its stats are accounted when the table is consumed in phase 2.
-    stats_.materialized_rows += local.merge_ht->data().Count();
-    local_tables_.push_back(std::move(local.merge_ht));
-  }
   stats_.ht.Merge(local.carry_stats);
   stats_.phase1_resets += local.carry_resets;
   stats_.early_compactions += local.early_compactions;
@@ -404,15 +361,12 @@ Status PhysicalHashAggregate::Combine(LocalSinkState &state) {
   return Status::OK();
 }
 
-void PhysicalHashAggregate::PushGlobalData(GroupedAggregateHashTable &table,
-                                           bool count_materialized) {
+void PhysicalHashAggregate::PushGlobalData(GroupedAggregateHashTable &table) {
   if (!global_data_) {
     global_data_ = std::make_unique<PartitionedTupleData>(
         buffer_manager_, row_layout_.layout, config_.radix_bits);
   }
-  if (count_materialized) {
-    stats_.materialized_rows += table.data().Count();
-  }
+  stats_.materialized_rows += table.data().Count();
   const auto &s = table.stats();
   stats_.ht.Merge(s);
   stats_.phase1_resets += s.resets;
@@ -453,7 +407,10 @@ Status PhysicalHashAggregate::AggregatePartition(PartitionedTupleData &data,
     ht->ReleasePointerTable();
     // Push the fully aggregated partition to the next operator immediately,
     // freeing its pages as they are consumed.
-    SSAGG_RETURN_NOT_OK(EmitTablePartition(*ht, 0, output, executor));
+    TupleDataCollection &groups = ht->data().partition(0);
+    TupleDataScanState scan;
+    groups.InitScan(scan, /*destroy_after_scan=*/true);
+    SSAGG_RETURN_NOT_OK(EmitRows(*ht, groups, scan, output, executor));
   }
   ScopedLock guard(lock_);
   stats_.ht.Merge(ht->stats());
@@ -508,18 +465,6 @@ Status PhysicalHashAggregate::AggregateInPlace(GroupedAggregateHashTable &ht,
   return EmitRows(ht, source, scan, output, executor);
 }
 
-Status PhysicalHashAggregate::EmitTablePartition(
-    GroupedAggregateHashTable &table, idx_t partition_idx, DataSink &output,
-    TaskExecutor &executor) {
-  TupleDataCollection &result = table.data().partition(partition_idx);
-  if (result.Count() == 0) {
-    return Status::OK();
-  }
-  TupleDataScanState scan;
-  result.InitScan(scan, /*destroy_after_scan=*/true);
-  return EmitRows(table, result, scan, output, executor);
-}
-
 Status PhysicalHashAggregate::EmitRows(GroupedAggregateHashTable &table,
                                        TupleDataCollection &rows,
                                        TupleDataScanState &scan,
@@ -549,31 +494,18 @@ Status PhysicalHashAggregate::EmitRows(GroupedAggregateHashTable &table,
   return Status::OK();
 }
 
-Status PhysicalHashAggregate::EmitTable(GroupedAggregateHashTable &table,
-                                        DataSink &output,
-                                        TaskExecutor &executor) {
-  // Free the entry array and release the build pins; result pages are then
-  // freed as the output scans pass them.
-  table.ReleasePointerTable();
-  auto &data = table.data();
-  std::vector<std::function<Status()>> tasks;
-  for (idx_t p = 0; p < data.PartitionCount(); p++) {
-    if (data.partition(p).Count() == 0) {
-      continue;
-    }
-    tasks.push_back([this, &table, p, &output, &executor]() {
-      return EmitTablePartition(table, p, output, executor);
-    });
+Status PhysicalHashAggregate::EmitResults(DataSink &output,
+                                          TaskExecutor &executor) {
+  // Phase 2 sizes its tables from the decision; an input that ended inside
+  // the sampling window has none yet.
+  planner_->EnsureDecided();
+  // Resolve the exchanged partitions once under the lock; the tasks then
+  // own disjoint partitions of them.
+  PartitionedTupleData *data;
+  {
+    ScopedLock guard(lock_);
+    data = global_data_.get();
   }
-  SSAGG_RETURN_NOT_OK(executor.RunTasks(tasks));
-  ScopedLock guard(lock_);
-  stats_.ht.Merge(table.stats());
-  return Status::OK();
-}
-
-Status PhysicalHashAggregate::RadixMergeEmit(PartitionedTupleData *data,
-                                             DataSink &output,
-                                             TaskExecutor &executor) {
   if (data == nullptr) {
     return Status::OK();  // no input at all
   }
@@ -584,125 +516,6 @@ Status PhysicalHashAggregate::RadixMergeEmit(PartitionedTupleData *data,
     });
   }
   return executor.RunTasks(tasks);
-}
-
-Status PhysicalHashAggregate::CentralMergeEmit(
-    std::vector<std::unique_ptr<GroupedAggregateHashTable>> tables,
-    PartitionedTupleData *data, DataSink &output, TaskExecutor &executor) {
-  const bool have_global = data != nullptr && data->Count() > 0;
-  if (tables.empty() && !have_global) {
-    return Status::OK();
-  }
-  TraceSpan span("phase2.central_merge", "agg", tables.size());
-  // The first thread table becomes the merge target (its pointer table is
-  // still valid, so nothing is rebuilt); with no transitioned thread a
-  // fresh table serves (global-only input, e.g. all rows sampled).
-  std::unique_ptr<GroupedAggregateHashTable> target;
-  if (!tables.empty()) {
-    target = std::move(tables.front());
-    tables.erase(tables.begin());
-  } else {
-    SSAGG_RETURN_NOT_OK(MakeMergeTable(
-        planner_->decision().local_table_capacity, &target));
-  }
-  for (auto &table : tables) {
-    SSAGG_RETURN_NOT_OK(MergeTableInto(*target, *table, &executor));
-    {
-      ScopedLock guard(lock_);
-      stats_.ht.Merge(table->stats());
-    }
-    table.reset();
-  }
-  if (have_global) {
-    // Data of threads that never transitioned (or were sampled-only);
-    // duplicated groups collapse into the target here.
-    for (idx_t p = 0; p < data->PartitionCount(); p++) {
-      SSAGG_RETURN_NOT_OK(
-          MergeCollectionInto(*target, data->partition(p), &executor));
-    }
-  }
-  return EmitTable(*target, output, executor);
-}
-
-Status PhysicalHashAggregate::TreeMergeEmit(
-    std::vector<std::unique_ptr<GroupedAggregateHashTable>> tables,
-    PartitionedTupleData *data, DataSink &output, TaskExecutor &executor) {
-  if (data != nullptr && data->Count() > 0) {
-    // Materialize the non-transitioned leftovers as one more leaf so the
-    // rounds below see a uniform table list.
-    std::unique_ptr<GroupedAggregateHashTable> leaf;
-    SSAGG_RETURN_NOT_OK(MakeMergeTable(
-        planner_->decision().local_table_capacity, &leaf));
-    for (idx_t p = 0; p < data->PartitionCount(); p++) {
-      SSAGG_RETURN_NOT_OK(
-          MergeCollectionInto(*leaf, data->partition(p), &executor));
-    }
-    tables.push_back(std::move(leaf));
-  }
-  if (tables.empty()) {
-    return Status::OK();
-  }
-  TraceSpan span("phase2.tree_merge", "agg", tables.size());
-  // Pairwise parallel rounds over a stable table array: round with stride s
-  // merges table j+s into table j. ceil(log2 N) barrier rounds total.
-  std::vector<std::vector<std::function<Status()>>> rounds;
-  for (idx_t step = 1; step < tables.size(); step *= 2) {
-    std::vector<std::function<Status()>> round;
-    for (idx_t j = 0; j + step < tables.size(); j += 2 * step) {
-      round.push_back([this, &tables, j, step, &executor]() {
-        auto &source = tables[j + step];
-        SSAGG_RETURN_NOT_OK(
-            MergeTableInto(*tables[j], *source, &executor));
-        {
-          ScopedLock guard(lock_);
-          stats_.ht.Merge(source->stats());
-        }
-        source.reset();
-        return Status::OK();
-      });
-    }
-    rounds.push_back(std::move(round));
-  }
-  SSAGG_RETURN_NOT_OK(executor.RunTaskRounds(rounds));
-  return EmitTable(*tables.front(), output, executor);
-}
-
-Status PhysicalHashAggregate::EmitResults(DataSink &output,
-                                          TaskExecutor &executor) {
-  planner_->EnsureDecided();
-  const AggregateStrategy strategy = planner_->EffectiveStrategy();
-  // Resolve the merged inputs once under the lock; phase-2 tasks then work
-  // on disjoint partitions/tables of them.
-  PartitionedTupleData *data;
-  std::vector<std::unique_ptr<GroupedAggregateHashTable>> tables;
-  {
-    ScopedLock guard(lock_);
-    data = global_data_.get();
-    tables = std::move(local_tables_);
-    local_tables_.clear();
-  }
-  if (strategy == AggregateStrategy::kRadixMerge && !tables.empty()) {
-    // Demotion raced with the last Combine calls: fold the straggler merge
-    // tables into the radix exchange (fan-outs match by construction).
-    ScopedLock guard(lock_);
-    for (auto &table : tables) {
-      table->ClearPointerTable();
-      PushGlobalData(*table, /*count_materialized=*/false);
-      table.reset();
-    }
-    tables.clear();
-    data = global_data_.get();
-  }
-  switch (strategy) {
-    case AggregateStrategy::kCentralMerge:
-      return CentralMergeEmit(std::move(tables), data, output, executor);
-    case AggregateStrategy::kTreeMerge:
-      return TreeMergeEmit(std::move(tables), data, output, executor);
-    case AggregateStrategy::kRadixMerge:
-    case AggregateStrategy::kAdaptive:  // unreachable: decisions are concrete
-      break;
-  }
-  return RadixMergeEmit(data, output, executor);
 }
 
 HashAggregateStats PhysicalHashAggregate::stats() const {

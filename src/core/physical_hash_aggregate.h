@@ -29,15 +29,15 @@ struct HashAggregateConfig {
   /// row-at-a-time reference path.
   bool vectorized_probe = true;
   double reset_fill_ratio = kHashTableResetFillRatio;
-  /// How thread-local results are merged (DESIGN.md section 11). kAdaptive
-  /// samples the first chunks and picks with the cost models; the concrete
-  /// values force a strategy (tests/ablation; also forced by the
+  /// Which phase-1 table the threads aggregate into (DESIGN.md section 11).
+  /// kAdaptive samples the first chunks and picks with the cost models; the
+  /// concrete values force a strategy (tests/ablation; also forced by the
   /// SSAGG_AGG_STRATEGY environment variable, which overrides this field).
   AggregateStrategy strategy = AggregateStrategy::kAdaptive;
   /// Rows (across all threads) the planner samples before deciding.
   idx_t planner_sample_rows = 32768;
   /// Lets the planner enable the direct-index (perfect hash) fast path on
-  /// central/tree thread tables when the query groups by a single int64 key
+  /// central thread tables when the query groups by a single int64 key
   /// whose sampled value span is small (DESIGN.md section 11).
   bool enable_direct_index = true;
   /// Total input rows if the caller knows them (RunGroupedAggregation fills
@@ -64,10 +64,10 @@ struct HashAggregateStats {
   idx_t phase1_resets = 0;
   idx_t early_compactions = 0;   // early-aggregation passes (Section IX)
   idx_t early_compacted_rows = 0;  // rows eliminated by early aggregation
-  /// Radix phase-2 partitions grouped in place over their own rows.
+  /// Phase-2 partitions grouped in place over their own rows.
   idx_t phase2_in_place_partitions = 0;
-  /// Rows of radix phase-2 partitions that took the copy path instead
-  /// (gathered whole and appended again into the partition's table).
+  /// Rows of phase-2 partitions that took the copy path instead (gathered
+  /// whole and appended again into the partition's table).
   idx_t phase2_copied_rows = 0;
   GroupedAggregateHashTable::Stats ht;
   /// Wall-clock seconds of the two phases (filled by Execute helpers).
@@ -86,22 +86,21 @@ struct HashAggregateStats {
 ///
 ///   Phase 0 (Sampling): the first planner_sample_rows rows flow through
 ///   the classic fixed-size thread tables while their group hashes feed a
-///   cardinality estimator; cost models then commit to a merge strategy.
+///   cardinality estimator; cost models then commit to a phase-1 table.
 ///
 ///   Phase 1 (Thread-Local Pre-Aggregation): under the radix strategy each
 ///   worker aggregates morsels into its own small fixed-size salted hash
 ///   table, materializing groups directly into radix-partitioned spillable
 ///   pages; the table is reset (pointer array cleared, pages unpinned) at
-///   2/3 fill. The phase is RAM-oblivious. Under central/tree the worker
-///   instead folds everything into one right-sized resizable table (still
+///   2/3 fill. The phase is RAM-oblivious. Under central the worker instead
+///   folds everything into one right-sized resizable table (still
 ///   radix-partitioned with the same fan-out, so a misestimate can demote
-///   the query back to the radix plan mid-flight).
+///   the query back to the fixed tables mid-flight).
 ///
-///   Phase 2: radix exchanges thread-local partitions and aggregates each
-///   independently in parallel; central merges the thread tables into one
-///   sequentially; tree merges them pairwise in parallel barrier rounds.
-///   Either way finished partitions are immediately pushed to the next
-///   sink and their pages destroyed.
+///   Phase 2: at Combine every thread table's partitions join one exchange,
+///   whatever the plan; each partition is then aggregated independently in
+///   parallel, and pushed to the next sink as soon as it is finished, its
+///   pages destroyed as they are consumed.
 class PhysicalHashAggregate : public DataSink {
  public:
   static Result<std::unique_ptr<PhysicalHashAggregate>> Create(
@@ -119,7 +118,7 @@ class PhysicalHashAggregate : public DataSink {
   Status Sink(DataChunk &chunk, LocalSinkState &state) override;
   Status Combine(LocalSinkState &state) override;
 
-  /// Phase 2: merges thread-local results per the planner's strategy and
+  /// Phase 2: aggregates the exchanged partitions in parallel tasks and
   /// pushes finished partitions into `output` ("fully aggregated
   /// partitions are immediately scanned, effectively becoming morsels in
   /// the next pipeline"). Pages are destroyed as they are consumed.
@@ -154,11 +153,11 @@ class PhysicalHashAggregate : public DataSink {
   struct LocalState : public LocalSinkState {
     /// Fixed-size phase-1 table (sampling window / radix strategy).
     std::unique_ptr<GroupedAggregateHashTable> ht;
-    /// Right-sized resizable table (central/tree strategies, after the
+    /// Right-sized resizable table (central strategy, after the
     /// transition).
     std::unique_ptr<GroupedAggregateHashTable> merge_ht;
-    /// Merge tables retired by a demotion; their (partially aggregated,
-    /// radix-partitioned) rows join global_data_ at Combine.
+    /// Merge tables retired by a demotion; their radix-partitioned rows
+    /// join global_data_ at Combine, with the thread's last table.
     std::vector<std::unique_ptr<GroupedAggregateHashTable>> retired;
     /// Stats of tables this thread already destroyed (transition).
     GroupedAggregateHashTable::Stats carry_stats;
@@ -170,14 +169,12 @@ class PhysicalHashAggregate : public DataSink {
   };
 
   Status MakePhase1Table(std::unique_ptr<GroupedAggregateHashTable> *out);
-  Status MakeMergeTable(idx_t capacity,
-                        std::unique_ptr<GroupedAggregateHashTable> *out);
 
   /// Sampling phase: feeds the chunk's int64 key extremes to the planner's
   /// direct-index candidate range.
   void ObserveChunkKeyRange(const DataChunk &chunk);
 
-  /// Central/tree: replaces the thread's fixed table with a right-sized
+  /// Central: replaces the thread's fixed table with a right-sized
   /// resizable one seeded from everything sampled so far.
   Status TransitionLocal(LocalState &local);
   /// Misestimate fallback: retires the thread's merge table (its rows join
@@ -212,24 +209,11 @@ class PhysicalHashAggregate : public DataSink {
   /// duplicated groups materialized across hash-table resets.
   Status EarlyCompactLocal(LocalState &local);
 
-  /// Merges every row of `source` (releasing its pins, destroying its
-  /// pages) into `target`.
-  Status MergeTableInto(GroupedAggregateHashTable &target,
-                        GroupedAggregateHashTable &source,
-                        TaskExecutor *executor);
   /// Merges one materialized collection into `target`, destroying it.
   Status MergeCollectionInto(GroupedAggregateHashTable &target,
                              TupleDataCollection &source,
                              TaskExecutor *executor);
 
-  /// Finalizes and pushes one fully merged table: its partitions are
-  /// emitted by parallel tasks (FinalizeChunk is scratch-free, so tasks
-  /// can share the table; partition collections are disjoint objects).
-  Status EmitTable(GroupedAggregateHashTable &table, DataSink &output,
-                   TaskExecutor &executor);
-  Status EmitTablePartition(GroupedAggregateHashTable &table,
-                            idx_t partition_idx, DataSink &output,
-                            TaskExecutor &executor);
   /// Finalizes and pushes the rows `scan` returns from `rows`, whose
   /// groups `table` built.
   Status EmitRows(GroupedAggregateHashTable &table, TupleDataCollection &rows,
@@ -248,20 +232,8 @@ class PhysicalHashAggregate : public DataSink {
                           TupleDataCollection &source, DataSink &output,
                           TaskExecutor &executor);
 
-  Status RadixMergeEmit(PartitionedTupleData *data, DataSink &output,
-                        TaskExecutor &executor);
-  Status CentralMergeEmit(
-      std::vector<std::unique_ptr<GroupedAggregateHashTable>> tables,
-      PartitionedTupleData *data, DataSink &output, TaskExecutor &executor);
-  Status TreeMergeEmit(
-      std::vector<std::unique_ptr<GroupedAggregateHashTable>> tables,
-      PartitionedTupleData *data, DataSink &output, TaskExecutor &executor);
-
-  /// Folds one finished phase-1 table's data into global_data_.
-  /// `count_materialized` is false when the table's rows were already
-  /// counted at Combine (a demoted merge table folded in by EmitResults).
-  void PushGlobalData(GroupedAggregateHashTable &table,
-                      bool count_materialized = true) SSAGG_REQUIRES(lock_);
+  /// Folds one finished thread table's data into global_data_.
+  void PushGlobalData(GroupedAggregateHashTable &table) SSAGG_REQUIRES(lock_);
 
   BufferManager &buffer_manager_;
   std::vector<LogicalTypeId> input_types_;
@@ -284,10 +256,6 @@ class PhysicalHashAggregate : public DataSink {
   /// unique_ptr itself is guarded; once EmitResults starts, the pointee's
   /// partitions are partitioned among tasks (disjoint access).
   std::unique_ptr<PartitionedTupleData> global_data_ SSAGG_GUARDED_BY(lock_);
-  /// Central/tree thread merge tables, handed over at Combine; EmitResults
-  /// moves them out and merges them per the strategy.
-  std::vector<std::unique_ptr<GroupedAggregateHashTable>> local_tables_
-      SSAGG_GUARDED_BY(lock_);
   HashAggregateStats stats_ SSAGG_GUARDED_BY(lock_);
 };
 

@@ -33,7 +33,7 @@ void AddAggregateStats(const HashAggregateStats &stats,
   profile.AddTiming("agg.phase1_seconds", stats.phase1_seconds);
   profile.AddTiming("agg.phase2_seconds", stats.phase2_seconds);
   // Planner decision (DESIGN.md section 11). Strategies are recorded as
-  // their enum values (1 central, 2 tree, 3 radix).
+  // their enum values (1 central, 3 radix).
   if (stats.planner_decided) {
     profile.AddCounter("agg.chosen_strategy",
                        static_cast<idx_t>(stats.planner.strategy));
@@ -43,11 +43,11 @@ void AddAggregateStats(const HashAggregateStats &stats,
     profile.AddCounter("agg.planner_demoted", stats.planner_demoted ? 1 : 0);
     profile.AddCounter("agg.estimated_groups", stats.planner.estimated_groups);
     profile.AddCounter("agg.sampled_rows", stats.planner.sampled_rows);
+    profile.AddCounter("agg.planner_threads", stats.planner.threads);
     profile.AddCounter("agg.direct_index", stats.planner.direct_index ? 1 : 0);
     profile.AddCounter("agg.direct_hit_rows", stats.ht.direct_hit_rows);
     profile.AddTiming("agg.sampling_seconds", stats.sampling_seconds);
     profile.AddTiming("agg.cost_central", stats.planner.central_cost);
-    profile.AddTiming("agg.cost_tree", stats.planner.tree_cost);
     profile.AddTiming("agg.cost_radix", stats.planner.radix_cost);
   }
 }

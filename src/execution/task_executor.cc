@@ -50,7 +50,6 @@ void ExecutorStats::Merge(const ExecutorStats &other) {
   chunks += other.chunks;
   rows += other.rows;
   tasks += other.tasks;
-  task_rounds += other.task_rounds;
   deadline_aborts += other.deadline_aborts;
   worker_seconds += other.worker_seconds;
   source_seconds += other.source_seconds;
@@ -63,7 +62,6 @@ TaskExecutor::TaskExecutor(idx_t num_threads) : num_threads_(num_threads) {
   key_chunks_ = registry.KeyId("exec.chunks");
   key_rows_ = registry.KeyId("exec.rows");
   key_tasks_ = registry.KeyId("exec.tasks");
-  key_task_rounds_ = registry.KeyId("exec.task_rounds");
   key_deadline_aborts_ = registry.KeyId("exec.deadline_aborts");
   key_source_ns_ = registry.KeyId("exec.source_ns");
   key_sink_ns_ = registry.KeyId("exec.sink_ns");
@@ -243,25 +241,6 @@ Status TaskExecutor::RunTasks(const std::vector<std::function<Status()>> &tasks)
     }
   }
   return errors.Take();
-}
-
-Status TaskExecutor::RunTaskRounds(
-    const std::vector<std::vector<std::function<Status()>>> &rounds) {
-  MetricsRegistry &registry = MetricsRegistry::Global();
-  idx_t round_idx = 0;
-  for (const auto &round : rounds) {
-    if (round.empty()) {
-      continue;
-    }
-    TraceSpan span("task_round", "exec", round_idx++);
-    registry.Add(key_task_rounds_, 1);
-    {
-      ScopedLock guard(stats_lock_);
-      stats_.task_rounds++;
-    }
-    SSAGG_RETURN_NOT_OK(RunTasks(round));
-  }
-  return Status::OK();
 }
 
 }  // namespace ssagg

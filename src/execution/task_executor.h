@@ -23,7 +23,6 @@ struct ExecutorStats {
   idx_t chunks = 0;           // morsel chunks pushed into the sink
   idx_t rows = 0;             // rows those chunks carried
   idx_t tasks = 0;            // RunTasks tasks executed
-  idx_t task_rounds = 0;      // RunTaskRounds barrier rounds executed
   idx_t deadline_aborts = 0;  // runs aborted by the wall-clock deadline
   double worker_seconds = 0;   // total worker wall clock
   double source_seconds = 0;   // inside DataSource::GetData
@@ -69,13 +68,6 @@ class TaskExecutor {
   /// claimed through an atomic counter (used for partition-wise phase 2).
   Status RunTasks(const std::vector<std::function<Status()>> &tasks);
 
-  /// Runs task sets separated by barriers: all tasks of round r complete
-  /// before round r+1 starts; the first error aborts the remaining rounds.
-  /// Used by the tree-merge strategy, whose pairwise merge rounds each
-  /// depend on the previous round's outputs.
-  Status RunTaskRounds(
-      const std::vector<std::vector<std::function<Status()>>> &rounds);
-
   /// Counters accumulated since construction (or the last ResetStats).
   /// Returns a copy taken under the stats lock, so it is safe to call while
   /// a run is in flight (you get a consistent snapshot of the workers that
@@ -101,7 +93,6 @@ class TaskExecutor {
   idx_t key_chunks_;
   idx_t key_rows_;
   idx_t key_tasks_;
-  idx_t key_task_rounds_;
   idx_t key_deadline_aborts_;
   idx_t key_source_ns_;
   idx_t key_sink_ns_;

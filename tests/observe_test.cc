@@ -666,6 +666,9 @@ TEST(FlightRecorderTest, DemotionDumpCarriesPlannerDecision) {
   FlightRecorder &flight = FlightRecorder::Global();
   std::string saved_dir = flight.dump_directory();
   flight.SetDumpDirectory(dir);
+  // The rings are process-global: forget the events of earlier queries in
+  // this process, so every planner.strategy in the dump is this query's.
+  flight.Clear();
 
   // The planner's first sample window sees only 16 keys, so it commits to a
   // central merge; afterwards the keyspace explodes and it demotes. One

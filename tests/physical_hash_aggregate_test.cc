@@ -261,6 +261,35 @@ TEST_P(HashAggregateE2ETest, NullResultsStayWithTheirGroups) {
   }
 }
 
+TEST_P(HashAggregateE2ETest, UnfilledPhase1TablesNeverReset) {
+  // 20,000 groups never fill a default phase-1 table (it resets at 2/3 of
+  // 2^17 entries), and a central table resizes instead of resetting. Tables
+  // torn down at the central transition or at Combine are not reset
+  // either, so neither plan counts a reset.
+  constexpr idx_t kRows = 100000;
+  constexpr idx_t kGroups = 20000;
+  for (AggregateStrategy strategy :
+       {AggregateStrategy::kRadixMerge, AggregateStrategy::kCentralMerge}) {
+    SCOPED_TRACE(AggregateStrategyName(strategy));
+    BufferManager bm(temp_dir_, 512 * kPageSize);
+    TaskExecutor executor(Threads());
+    auto source = MakeSource(kRows, kGroups);
+    MaterializedCollector collector;
+    HashAggregateConfig config;
+    config.strategy = strategy;
+    auto stats = RunGroupedAggregation(
+        bm, source, {0},
+        {{AggregateKind::kSum, 1},
+         {AggregateKind::kCountStar, kInvalidIndex},
+         {AggregateKind::kAnyValue, 2}},
+        collector, executor, config);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    CheckSums(collector, kRows, kGroups);
+    EXPECT_EQ(stats.value().phase1_resets, 0u);
+    EXPECT_EQ(stats.value().ht.resets, 0u);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Threads, HashAggregateE2ETest,
                          ::testing::Values(1, 2, 4));
 
@@ -377,6 +406,34 @@ TEST_F(PartitionTableSizingTest, DuplicateHeavyPartitionsAreSizedFromGroups) {
   EXPECT_LE(2 * peak, row_sized_bytes)
       << "entry array of " << peak << " B for " << rows_per_partition
       << " rows per partition";
+}
+
+TEST_F(PartitionTableSizingTest, CentralTablesNeverResize) {
+  // A central thread table gets one all-new chunk of room on top of the
+  // estimate, like a phase-2 table, so it does not double on its first
+  // chunk; its rows then go through the partition-wise phase 2.
+  constexpr idx_t kRows = 200000;
+  for (idx_t groups : {idx_t{28}, idx_t{1000}}) {
+    SCOPED_TRACE("groups=" + std::to_string(groups));
+    BufferManager bm(temp_dir_, 512 * kPageSize);
+    TaskExecutor executor(2);
+    auto key_of = [groups](idx_t row) {
+      return static_cast<int64_t>(HashUint64(row) % groups);
+    };
+    auto source = MakeKeyedSource(kRows, key_of);
+    MaterializedCollector collector;
+    HashAggregateConfig config;
+    config.strategy = AggregateStrategy::kCentralMerge;
+    auto stats = RunGroupedAggregation(bm, source, {0}, kSumCount, collector,
+                                       executor, config);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    CheckKeyedSums(collector, kRows, key_of);
+    const HashAggregateStats &s = stats.value();
+    EXPECT_FALSE(s.planner_demoted);
+    EXPECT_EQ(s.ht.resizes, 0u);
+    EXPECT_GT(s.phase2_in_place_partitions + s.phase2_copied_rows, 0u)
+        << "phase 2 must run partition-wise";
+  }
 }
 
 TEST_F(PartitionTableSizingTest, LowEstimateOnlyCostsResizes) {

@@ -536,7 +536,7 @@ INSTANTIATE_TEST_SUITE_P(
     Strategies, IsolationEquivalenceTest,
     ::testing::Values(IsolationParams{AggregateStrategy::kAdaptive, true},
                       IsolationParams{AggregateStrategy::kCentralMerge, true},
-                      IsolationParams{AggregateStrategy::kTreeMerge, true},
+                      IsolationParams{AggregateStrategy::kCentralMerge, false},
                       IsolationParams{AggregateStrategy::kRadixMerge, true},
                       IsolationParams{AggregateStrategy::kRadixMerge, false},
                       IsolationParams{AggregateStrategy::kAdaptive, false}),

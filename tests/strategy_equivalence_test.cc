@@ -1,8 +1,9 @@
-// Strategy equivalence and robustness (DESIGN.md section 11): every merge
-// strategy the adaptive planner can pick — central, tree, radix, and the
-// adaptive selection itself — must produce identical results, under both
-// probe pipelines and under spill-forcing memory limits; and the new
-// central/tree merge paths must degrade to a clean Status (no leaked pins,
+// Strategy equivalence and robustness (DESIGN.md section 11): every
+// strategy the adaptive planner can pick — central, radix, and the adaptive
+// selection itself — must produce identical results, under both probe
+// pipelines, at 2 and 4 threads and under spill-forcing memory limits; and
+// the central plan (its transition, and its thread tables joining the
+// partition-wise phase 2) must degrade to a clean Status (no leaked pins,
 // temp slots, or memory charges) when any I/O or allocation fails.
 
 #include <gtest/gtest.h>
@@ -55,7 +56,7 @@ RangeSource MakeWorkload(idx_t total_rows, idx_t tail_groups) {
 }
 
 /// High-cardinality variant with out-of-line string payloads: big enough
-/// that even the central/tree merge tables overflow a tight pool and spill,
+/// that even the central thread tables overflow a tight pool and spill,
 /// so I/O fault sites are actually exercised on those paths.
 RangeSource MakeSpillingWorkload(idx_t total_rows, idx_t groups) {
   return RangeSource(
@@ -116,9 +117,9 @@ class StrategyEquivalenceTest : public ::testing::Test {
   };
 
   RunOutput Run(AggregateStrategy strategy, bool vectorized,
-                idx_t memory_pages) {
+                idx_t memory_pages, idx_t threads = 2) {
     BufferManager bm(temp_dir_, memory_pages * kPageSize);
-    TaskExecutor executor(2);
+    TaskExecutor executor(threads);
     auto source = MakeWorkload(kRows, kTailGroups);
     MaterializedCollector collector;
     HashAggregateConfig config;
@@ -150,21 +151,25 @@ TEST_F(StrategyEquivalenceTest, AllStrategiesAgreeOnAllPipelines) {
 
   for (AggregateStrategy strategy :
        {AggregateStrategy::kAdaptive, AggregateStrategy::kCentralMerge,
-        AggregateStrategy::kTreeMerge, AggregateStrategy::kRadixMerge}) {
+        AggregateStrategy::kRadixMerge}) {
     for (bool vectorized : {true, false}) {
       // Ample memory, then a limit tight enough that the radix plan spills
-      // (the central/tree merge tables must survive the same pressure).
+      // (the central thread tables must survive the same pressure).
       for (idx_t pages : {idx_t{2048}, idx_t{96}}) {
-        SCOPED_TRACE(std::string("strategy=") +
-                     AggregateStrategyName(strategy) +
-                     " vectorized=" + (vectorized ? "1" : "0") +
-                     " pages=" + std::to_string(pages));
-        RunOutput run = Run(strategy, vectorized, pages);
-        EXPECT_EQ(run.rows, reference.rows);
-        EXPECT_TRUE(run.stats.planner_decided);
-        if (strategy != AggregateStrategy::kAdaptive) {
-          EXPECT_TRUE(run.stats.planner.forced);
-          EXPECT_EQ(run.stats.planner.strategy, strategy);
+        // 4 threads is where the cost models once advised a tree merge.
+        for (idx_t threads : {idx_t{2}, idx_t{4}}) {
+          SCOPED_TRACE(std::string("strategy=") +
+                       AggregateStrategyName(strategy) +
+                       " vectorized=" + (vectorized ? "1" : "0") +
+                       " pages=" + std::to_string(pages) +
+                       " threads=" + std::to_string(threads));
+          RunOutput run = Run(strategy, vectorized, pages, threads);
+          EXPECT_EQ(run.rows, reference.rows);
+          EXPECT_TRUE(run.stats.planner_decided);
+          if (strategy != AggregateStrategy::kAdaptive) {
+            EXPECT_TRUE(run.stats.planner.forced);
+            EXPECT_EQ(run.stats.planner.strategy, strategy);
+          }
         }
       }
     }
@@ -329,27 +334,32 @@ TEST_F(StrategyEquivalenceTest, DirectIndexDeclinedForSparseKeys) {
 }
 
 TEST_F(StrategyEquivalenceTest, ForcedStrategyEnvOverrideWins) {
-  setenv("SSAGG_AGG_STRATEGY", "tree", 1);
+  setenv("SSAGG_AGG_STRATEGY", "radix", 1);
   RunOutput run = Run(AggregateStrategy::kCentralMerge, /*vectorized=*/true,
                       /*memory_pages=*/2048);
   unsetenv("SSAGG_AGG_STRATEGY");
   ASSERT_TRUE(run.stats.planner_decided);
-  EXPECT_EQ(run.stats.planner.strategy, AggregateStrategy::kTreeMerge);
+  EXPECT_EQ(run.stats.planner.strategy, AggregateStrategy::kRadixMerge);
   EXPECT_TRUE(run.stats.planner.forced);
 
-  setenv("SSAGG_AGG_STRATEGY", "bogus", 1);
-  BufferManager bm(temp_dir_, 64 * kPageSize);
-  auto agg = PhysicalHashAggregate::Create(bm, SourceTypes(), {0},
-                                           TestAggregates());
-  unsetenv("SSAGG_AGG_STRATEGY");
-  ASSERT_FALSE(agg.ok());
-  EXPECT_NE(agg.status().ToString().find("SSAGG_AGG_STRATEGY"),
-            std::string::npos)
-      << agg.status().ToString();
+  // "tree" named a merge strategy that no longer exists.
+  for (const char *name : {"tree", "bogus"}) {
+    SCOPED_TRACE(name);
+    setenv("SSAGG_AGG_STRATEGY", name, 1);
+    BufferManager bm(temp_dir_, 64 * kPageSize);
+    auto agg = PhysicalHashAggregate::Create(bm, SourceTypes(), {0},
+                                             TestAggregates());
+    unsetenv("SSAGG_AGG_STRATEGY");
+    ASSERT_FALSE(agg.ok());
+    EXPECT_TRUE(agg.status().IsInvalidArgument()) << agg.status().ToString();
+    EXPECT_NE(agg.status().ToString().find("SSAGG_AGG_STRATEGY"),
+              std::string::npos)
+        << agg.status().ToString();
+  }
 }
 
 //===----------------------------------------------------------------------===//
-// Fault sweeps over the central/tree merge paths
+// Fault sweeps over the central plan
 //===----------------------------------------------------------------------===//
 
 class StrategyFaultSweepTest : public ::testing::Test {
@@ -375,7 +385,7 @@ class StrategyFaultSweepTest : public ::testing::Test {
     {
       // 3 MiB: the right-sized merge table (~4k groups) fits pinned, but
       // the pages materialized during the sampling window do not — they
-      // spill, so the I/O fault sites fire on the central/tree paths too.
+      // spill, so the I/O fault sites fire on the central path too.
       BufferManager bm(dir, 12 * kPageSize, EvictionPolicy::kMixed, fault_fs);
       bm.SetFaultInjector(&injector);
       TaskExecutor executor(1);
@@ -449,14 +459,6 @@ TEST_F(StrategyFaultSweepTest, CentralMergeIoFailuresDegradeCleanly) {
 
 TEST_F(StrategyFaultSweepTest, CentralMergeAllocationFailuresDegradeCleanly) {
   Sweep(AggregateStrategy::kCentralMerge, kFaultMemorySites, "memory");
-}
-
-TEST_F(StrategyFaultSweepTest, TreeMergeIoFailuresDegradeCleanly) {
-  Sweep(AggregateStrategy::kTreeMerge, kFaultIoSites, "io");
-}
-
-TEST_F(StrategyFaultSweepTest, TreeMergeAllocationFailuresDegradeCleanly) {
-  Sweep(AggregateStrategy::kTreeMerge, kFaultMemorySites, "memory");
 }
 
 }  // namespace
