@@ -38,6 +38,14 @@
 # the profile smoke group unique input, so phase 2 must take every
 # partition in place and copy none of its rows (DESIGN.md section 4).
 #
+# Bypass guard: the same two runs must skip the phase-1 lookups after
+# their unique sample (agg.phase1_bypass 1); the radix run must also read
+# bypassed rows and no phase-1 reset, and the central run must not bypass.
+#
+# The plain build also runs the memory-limit cell: SF 8 wide grouping 13 in
+# 48 MiB with 2 threads, 20 times at each of two fan-out settings, each run
+# checked against an oracle (ROADMAP item 1).
+#
 # The plain build also runs an observe smoke step (DESIGN.md section 12):
 # a spilling query must surface nonzero spill-latency percentiles in its
 # profile histograms, and a fault-injection run under SSAGG_FLIGHT_DUMP
@@ -96,6 +104,9 @@ assert counters.get("agg.phase2_copied_rows") == 0, \
     f"phase 2 copied rows of unique input: {counters}"
 assert counters.get("agg.phase2_in_place_partitions", 0) > 0, \
     f"no phase-2 partition went in place: {counters}"
+# Bypass guard: the unique sample makes phase 1 append without lookups.
+assert counters.get("agg.phase1_bypass") == 1, \
+    f"unique input did not bypass the phase-1 lookups: {counters}"
 with open(trace_path) as f:
     trace = json.load(f)
 events = trace["traceEvents"]
@@ -206,14 +217,36 @@ for name, expected, label in (("low", 1, "central"), ("high", 3, "radix")):
         resets = counters.get("agg.phase1_resets")
         assert resizes == 0 and resets == 0, \
             f"central run read {resizes} resizes and {resets} resets"
+        # Central thread tables always look their groups up.
+        assert counters.get("agg.phase1_bypass") == 0, \
+            f"central run bypassed the phase-1 lookups: {counters}"
     if name == "high":
         # Copy guard: the radix plan groups unique partitions in place.
         assert copied == 0 and in_place > 0, \
             f"phase 2 copied {copied} rows, {in_place} partitions in place"
+        # Bypass guard: after its unique sample, phase 1 appends every row
+        # without a lookup, so it never resets.
+        bypass = counters.get("agg.phase1_bypass")
+        bypassed = counters.get("agg.phase1_bypassed_rows", 0)
+        resets = counters.get("agg.phase1_resets")
+        assert bypass == 1 and bypassed > 0 and resets == 0, \
+            f"radix run read phase1_bypass {bypass}, {bypassed} bypassed " \
+            f"rows and {resets} resets"
     print(f"strategy smoke ok [{name}]: chose {label}, "
           f"estimated {estimated} groups")
 EOF
   rm -rf "$work"
+}
+
+memory_cell_smoke() {
+  local dir="$1"
+  echo "=== memory-limit cell (SF 8 wide unique in 48 MiB, 20 runs) ==="
+  # ROADMAP item 1's cell fails or not depending on how the threads'
+  # phase-1 work interleaves: one pass proves little, so it runs 20 times
+  # at the library defaults and at the benchmark harness's settings, each
+  # checked against the oracle.
+  "$dir/tests/ssagg_tests" --gtest_filter='MemoryLimitCellTest.*' \
+      --gtest_repeat=20 --gtest_brief=1
 }
 
 observe_smoke() {
@@ -343,6 +376,7 @@ if [[ "$MODE" != "--asan-only" && "$MODE" != "--tsan-only" ]]; then
   profile_smoke build
   spill_io_smoke build
   strategy_smoke build
+  memory_cell_smoke build
   observe_smoke build
   service_smoke build
 fi

@@ -362,8 +362,7 @@ void BufferManager::DischargeSpillQuota(BlockHandle &block) {
 
 Result<std::unique_ptr<FileBuffer>>
 // SAFETY: see the rationale above.
-BufferManager::EvictBlocks(idx_t request_size, idx_t reuse_size,
-                           const GrantState *only_grant)
+BufferManager::EvictBlocks(idx_t reuse_size, const GrantState *only_grant)
     SSAGG_NO_THREAD_SAFETY_ANALYSIS {
   // Lock-holder accounting for the dry-queue back-off below. Only threads
   // that currently *hold* candidate locks count: a scan that merely pops and
@@ -573,21 +572,7 @@ BufferManager::EvictBlocks(idx_t request_size, idx_t reuse_size,
         record_selection();
         return std::unique_ptr<FileBuffer>(nullptr);
       }
-      oom_rejections_.fetch_add(1, std::memory_order_relaxed);
-      MetricsRegistry::Global().Add(key_oom_rejections_, 1);
       record_selection();
-      // The refused request, and beside it what holds the pool.
-      TraceInstant("oom_rejection", "bm", request_size);
-      TraceCounter("bm.memory_used",
-                   memory_used_.load(std::memory_order_relaxed));
-      TraceCounter("bm.pinned_buffers", PinnedBufferCount());
-      SSAGG_LOG_INFO(
-          "reservation rejected: memory limit %llu exceeded (%llu used) and "
-          "no page can be evicted",
-          static_cast<unsigned long long>(
-              memory_limit_.load(std::memory_order_relaxed)),
-          static_cast<unsigned long long>(
-              memory_used_.load(std::memory_order_relaxed)));
       return Status::OutOfMemory(
           "memory limit exceeded and no page can be evicted");
     }
@@ -696,6 +681,22 @@ BufferManager::EvictBlocks(idx_t request_size, idx_t reuse_size,
   }
 }
 
+void BufferManager::RecordOomRejection(idx_t request_size) {
+  oom_rejections_.fetch_add(1, std::memory_order_relaxed);
+  MetricsRegistry::Global().Add(key_oom_rejections_, 1);
+  // The refused request, and beside it what holds the pool.
+  TraceInstant("oom_rejection", "bm", request_size);
+  TraceCounter("bm.memory_used", memory_used_.load(std::memory_order_relaxed));
+  TraceCounter("bm.pinned_buffers", PinnedBufferCount());
+  SSAGG_LOG_INFO(
+      "reservation rejected: memory limit %llu exceeded (%llu used) and no "
+      "page can be evicted",
+      static_cast<unsigned long long>(
+          memory_limit_.load(std::memory_order_relaxed)),
+      static_cast<unsigned long long>(
+          memory_used_.load(std::memory_order_relaxed)));
+}
+
 Result<std::unique_ptr<FileBuffer>> BufferManager::ReserveMemory(
     idx_t size, GrantState *grant, bool want_buffer) {
   if (FaultInjector *injector =
@@ -723,12 +724,13 @@ Result<std::unique_ptr<FileBuffer>> BufferManager::ReserveMemory(
     idx_t stalls = 0;
     while (!charged.ok()) {
       idx_t used_before = grant->used();
-      auto evicted = EvictBlocks(size, /*reuse_size=*/0, grant);
+      auto evicted = EvictBlocks(/*reuse_size=*/0, grant);
       if (!evicted.ok()) {
         if (!evicted.status().IsOutOfMemory()) {
           return evicted.status();  // I/O failure while spilling ourselves
         }
         // Grant exhausted and nothing of ours left to evict: overdraft.
+        RecordOomRejection(size);
         grant->ChargeOverdraft(size);
         break;
       }
@@ -755,7 +757,15 @@ Result<std::unique_ptr<FileBuffer>> BufferManager::ReserveMemory(
     return error;
   };
   const bool want_frame = want_buffer && size == kPageSize;
+  // Pages that other threads free meanwhile (DestroyBlock, or the last
+  // Unpin of a destroyed block) leave without an eviction, so a scan that
+  // starts after they left can find nothing to evict although the charge
+  // would now fit. A refusal after usage fell retries the charge, a bounded
+  // number of times.
+  constexpr idx_t kFreedRetries = 16;
+  idx_t freed_retries = 0;
   while (true) {
+    const idx_t used_before = memory_used_.load(std::memory_order_relaxed);
     std::unique_ptr<FileBuffer> buffer;
     if (TryCharge(size, want_frame ? &buffer : nullptr)) {
       if (want_buffer && !buffer) {
@@ -775,8 +785,16 @@ Result<std::unique_ptr<FileBuffer>> BufferManager::ReserveMemory(
     bool allow_reuse =
         want_buffer && memory_used_.load(std::memory_order_relaxed) <=
                            memory_limit_.load(std::memory_order_relaxed);
-    auto evicted = EvictBlocks(size, allow_reuse ? size : 0);
+    auto evicted = EvictBlocks(allow_reuse ? size : 0);
     if (!evicted.ok()) {
+      if (evicted.status().IsOutOfMemory()) {
+        if (freed_retries < kFreedRetries &&
+            memory_used_.load(std::memory_order_relaxed) < used_before) {
+          freed_retries++;
+          continue;
+        }
+        RecordOomRejection(size);
+      }
       return discharge_on_error(evicted.status());
     }
     if (evicted.value()) {

@@ -332,11 +332,16 @@ class BufferManager {
   /// skipped like in-memory-only pages: with nothing else evictable the
   /// reservation fails with OutOfMemory, isolating the quota breach.
   ///
-  /// `request_size` is the reservation being made; a refusal records it as
-  /// the value of the flight recorder's oom_rejection event.
+  /// A refusal is OutOfMemory; the caller records it (RecordOomRejection)
+  /// once it gives up.
   Result<std::unique_ptr<FileBuffer>> EvictBlocks(
-      idx_t request_size, idx_t reuse_size,
-      const GrantState *only_grant = nullptr);
+      idx_t reuse_size, const GrantState *only_grant = nullptr);
+
+  /// Counts a reservation of `request_size` bytes that eviction could not
+  /// make room for, and records it as the value of the flight recorder's
+  /// oom_rejection event, with the memory used and the pinned buffers
+  /// beside it.
+  void RecordOomRejection(idx_t request_size);
 
   /// Each unpin appends an eviction candidate, and the entries of blocks
   /// since re-pinned or dropped stay behind until an eviction scan reaches

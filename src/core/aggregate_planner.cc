@@ -332,6 +332,9 @@ void AggregatePlanner::DecideLocked() {
                   : AggregateStrategy::kRadixMerge;
   d.forced = options_.strategy != AggregateStrategy::kAdaptive;
   d.strategy = d.forced ? options_.strategy : d.advised;
+  // A saturated sample carries no evidence of duplicates, so the radix
+  // plan's fixed tables would only pay for probes that miss.
+  d.phase1_bypass = saturated && d.strategy == AggregateStrategy::kRadixMerge;
 
   const double groups = in.estimated_groups;
   // Room for the estimate plus one all-new chunk below the fill ratio, as
@@ -372,6 +375,13 @@ void AggregatePlanner::DecideLocked() {
   if (d.direct_index) {
     TraceInstant("planner.direct_range", "agg", d.direct_range);
   }
+  if (d.phase1_bypass) {
+    // Why phase 1 stops probing: the sample's distinct count, beside the
+    // sampled rows that planner.decide carries.
+    TraceInstant("planner.phase1_bypass", "agg",
+                 static_cast<idx_t>(sample_distinct));
+  }
+  phase1_bypass_.store(d.phase1_bypass, std::memory_order_release);
   decided_.store(true, std::memory_order_release);
   sampling_done_.store(true, std::memory_order_release);
 }

@@ -175,6 +175,11 @@ struct PlannerDecision {
   bool direct_index = false;
   int64_t direct_min = 0;
   idx_t direct_range = 0;
+  /// Phase-1 lookup bypass: the radix plan with a saturated sample (at
+  /// least 9 in 10 sampled rows were distinct), so phase-1 probes would
+  /// almost never find a group. Threads then append every row straight
+  /// into its radix partition, and phase 2 does all the grouping.
+  bool phase1_bypass = false;
 };
 
 /// Per-query planner: accumulates the sampling phase, makes the strategy
@@ -256,6 +261,11 @@ class AggregatePlanner {
     return demoted_.load(std::memory_order_acquire);
   }
 
+  /// The decision's phase1_bypass, readable without the planner lock.
+  [[nodiscard]] bool phase1_bypass() const {
+    return phase1_bypass_.load(std::memory_order_acquire);
+  }
+
   /// EarlyAggMode::kAuto runtime signal: true when the sampled reduction
   /// ratio says compaction can shrink the data at least ~2x AND the metrics
   /// registry has seen spill writes or pool evictions since this planner
@@ -279,6 +289,7 @@ class AggregatePlanner {
   std::atomic<bool> decided_{false};
   std::atomic<bool> sampling_done_{false};
   std::atomic<bool> demoted_{false};
+  std::atomic<bool> phase1_bypass_{false};
   std::atomic<idx_t> threads_{0};
 
   // Spill-pressure baseline captured at construction; results cached

@@ -450,11 +450,55 @@ Status GroupedAggregateHashTable::AddChunk(const DataChunk &input) {
       direct_ptrs_.shrink_to_fit();
     }
   }
-  // Hash the group columns.
+  PrepareAppendChunk(input);
+
+  // Process in sub-batches so a single chunk can never overflow a small
+  // fixed-size (phase-1) table: each sub-batch creates at most
+  // ResetBudget() new groups; once the budget is gone the table is reset
+  // mid-chunk (updates for the previous sub-batch have already been
+  // applied, so releasing the pins is safe).
+  idx_t done = 0;
+  while (done < count) {
+    idx_t batch = count - done;
+    if (!config_.resizable) {
+      idx_t budget = ResetBudget();
+      if (budget == 0) {
+        ClearPointerTable();
+        budget = ResetBudget();
+        SSAGG_ASSERT(budget > 0);
+      }
+      batch = std::min(batch, budget);
+    }
+    SSAGG_RETURN_NOT_OK(
+        FindOrCreateGroups(append_chunk_, hashes_.data(), done, batch));
+    UpdateStates(input, done, batch);
+    done += batch;
+  }
+  if (direct_enabled_) {
+    BackfillDirect(input);
+  }
+  return Status::OK();
+}
+
+Status GroupedAggregateHashTable::AppendChunk(const DataChunk &input) {
+  const idx_t count = input.size();
+  if (count == 0) {
+    return Status::OK();
+  }
+  PrepareAppendChunk(input);
+  SSAGG_RETURN_NOT_OK(data_->Append(append_chunk_, hashes_.data(), nullptr,
+                                    count, row_ptrs_.data()));
+  UpdateStates(input, 0, count);
+  data_->ReleaseFilledPins();
+  return Status::OK();
+}
+
+void GroupedAggregateHashTable::PrepareAppendChunk(const DataChunk &input) {
+  const idx_t count = input.size();
   ChunkHash(input, row_layout_.group_columns, hashes_.data());
 
-  // Assemble the layout-shaped chunk: group columns and sticky payloads are
-  // referenced shallowly; the hash column is filled from hashes_.
+  // Group columns and sticky payloads are referenced shallowly; the hash
+  // column is filled from hashes_.
   for (idx_t g = 0; g < row_layout_.group_count; g++) {
     CopyVectorShallow(input.column(row_layout_.group_columns[g]),
                       append_chunk_.column(g), count);
@@ -472,51 +516,27 @@ Status GroupedAggregateHashTable::AddChunk(const DataChunk &input) {
     }
   }
   append_chunk_.SetCount(count);
+}
 
-  // Process in sub-batches so a single chunk can never overflow a small
-  // fixed-size (phase-1) table: each sub-batch creates at most
-  // ResetBudget() new groups; once the budget is gone the table is reset
-  // mid-chunk (updates for the previous sub-batch have already been
-  // applied, so releasing the pins is safe).
+void GroupedAggregateHashTable::UpdateStates(const DataChunk &input,
+                                             idx_t start, idx_t count) {
   const idx_t aggr_offset = row_layout_.layout.AggregateOffset();
-  idx_t done = 0;
-  while (done < count) {
-    idx_t batch = count - done;
-    if (!config_.resizable) {
-      idx_t budget = ResetBudget();
-      if (budget == 0) {
-        ClearPointerTable();
-        budget = ResetBudget();
-        SSAGG_ASSERT(budget > 0);
-      }
-      batch = std::min(batch, budget);
+  for (const auto &agg : row_layout_.aggregates) {
+    if (agg.sticky) {
+      continue;  // materialized at group creation
     }
-    SSAGG_RETURN_NOT_OK(
-        FindOrCreateGroups(append_chunk_, hashes_.data(), done, batch));
-
-    // Fold the inputs of rows [done, done + batch) into the group states.
-    for (const auto &agg : row_layout_.aggregates) {
-      if (agg.sticky) {
-        continue;  // materialized at group creation
-      }
-      idx_t offset = aggr_offset + agg.state_offset;
-      for (idx_t i = 0; i < batch; i++) {
-        sel_scratch_[i] = done + i;
-        state_ptrs_[i] = row_ptrs_[done + i] + offset;
-      }
-      const Vector *arg = agg.request.input_column == kInvalidIndex
-                              ? nullptr
-                              : &input.column(agg.request.input_column);
-      const idx_t *sel =
-          (done == 0 && batch == count) ? nullptr : sel_scratch_.data();
-      agg.function.update(arg, sel, state_ptrs_.data(), batch);
+    idx_t offset = aggr_offset + agg.state_offset;
+    for (idx_t i = 0; i < count; i++) {
+      sel_scratch_[i] = start + i;
+      state_ptrs_[i] = row_ptrs_[start + i] + offset;
     }
-    done += batch;
+    const Vector *arg = agg.request.input_column == kInvalidIndex
+                            ? nullptr
+                            : &input.column(agg.request.input_column);
+    const idx_t *sel =
+        (start == 0 && count == input.size()) ? nullptr : sel_scratch_.data();
+    agg.function.update(arg, sel, state_ptrs_.data(), count);
   }
-  if (direct_enabled_) {
-    BackfillDirect(input);
-  }
-  return Status::OK();
 }
 
 Status GroupedAggregateHashTable::CombineSourceChunk(

@@ -99,6 +99,14 @@ class GroupedAggregateHashTable {
   /// folds the aggregate inputs into the group states.
   Status AddChunk(const DataChunk &input);
 
+  /// Phase-1 lookup bypass: appends every row of `input` to its radix
+  /// partition as a group of its own, hash stored, without probing
+  /// (duplicates are grouped in phase 2), and folds the aggregate inputs
+  /// into the new rows' states. Then drops the append pins of every page
+  /// but each partition's row and heap write pages: the rows are final. The
+  /// entry array stays allocated and is never probed again.
+  Status AppendChunk(const DataChunk &input);
+
   /// Phase 2: merges rows of another hash table's materialized data (same
   /// layout) into this table. `layout_chunk` is a gathered chunk of layout
   /// columns and `src_rows` the corresponding source row addresses.
@@ -170,6 +178,13 @@ class GroupedAggregateHashTable {
   GroupedAggregateHashTable(BufferManager &buffer_manager, Config config);
 
   Status Initialize(AggregateRowLayout row_layout);
+
+  /// Hashes the group columns of `input` into hashes_ and assembles the
+  /// layout-shaped append_chunk_ (group columns, hash, sticky payloads).
+  void PrepareAppendChunk(const DataChunk &input);
+  /// Folds the aggregate inputs of rows [start, start + count) of `input`
+  /// into the states of the group rows in row_ptrs_.
+  void UpdateStates(const DataChunk &input, idx_t start, idx_t count);
 
   /// Probes rows [start, start + count) of `layout_chunk` (which must have
   /// exactly the layout's columns, with the hash column filled from

@@ -145,6 +145,14 @@ Status PhysicalHashAggregate::Sink(DataChunk &chunk, LocalSinkState &state) {
     // Another thread demoted the query after this one transitioned.
     SSAGG_RETURN_NOT_OK(DemoteLocal(local));
   }
+  if (planner_->phase1_bypass()) {
+    // A unique sample: phase-1 probes would miss, so every row goes
+    // straight into its radix partition and phase 2 groups them. Only the
+    // partitions' write pages stay pinned; there is nothing to reset.
+    SSAGG_RETURN_NOT_OK(local.ht->AppendChunk(chunk));
+    local.bypassed_rows += chunk.size();
+    return MaybeEarlyAggregate(local);
+  }
   SSAGG_RETURN_NOT_OK(local.ht->AddChunk(chunk));
   if (local.ht->NeedsReset()) {
     // Reset once two-thirds full: only the entry array is cleared, the
@@ -356,6 +364,7 @@ Status PhysicalHashAggregate::Combine(LocalSinkState &state) {
   local.retired.clear();
   stats_.ht.Merge(local.carry_stats);
   stats_.phase1_resets += local.carry_resets;
+  stats_.phase1_bypassed_rows += local.bypassed_rows;
   stats_.early_compactions += local.early_compactions;
   stats_.early_compacted_rows += local.early_compacted_rows;
   return Status::OK();

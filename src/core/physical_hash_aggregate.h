@@ -62,6 +62,8 @@ struct HashAggregateStats {
   idx_t materialized_rows = 0;   // rows handed to phase 2 (post-compaction)
   idx_t unique_groups = 0;       // rows produced
   idx_t phase1_resets = 0;
+  /// Rows the phase-1 lookup bypass appended without probing.
+  idx_t phase1_bypassed_rows = 0;
   idx_t early_compactions = 0;   // early-aggregation passes (Section IX)
   idx_t early_compacted_rows = 0;  // rows eliminated by early aggregation
   /// Phase-2 partitions grouped in place over their own rows.
@@ -92,10 +94,13 @@ struct HashAggregateStats {
 ///   worker aggregates morsels into its own small fixed-size salted hash
 ///   table, materializing groups directly into radix-partitioned spillable
 ///   pages; the table is reset (pointer array cleared, pages unpinned) at
-///   2/3 fill. The phase is RAM-oblivious. Under central the worker instead
-///   folds everything into one right-sized resizable table (still
-///   radix-partitioned with the same fan-out, so a misestimate can demote
-///   the query back to the fixed tables mid-flight).
+///   2/3 fill. The phase is RAM-oblivious. When the sample was (nearly)
+///   unique, the planner sets the lookup bypass: the threads append every
+///   row straight into its radix partition, pinning only each partition's
+///   write pages, and leave all grouping to phase 2. Under central the
+///   worker instead folds everything into one right-sized resizable table
+///   (still radix-partitioned with the same fan-out, so a misestimate can
+///   demote the query back to the fixed tables mid-flight).
 ///
 ///   Phase 2: at Combine every thread table's partitions join one exchange,
 ///   whatever the plan; each partition is then aggregated independently in
@@ -162,6 +167,7 @@ class PhysicalHashAggregate : public DataSink {
     /// Stats of tables this thread already destroyed (transition).
     GroupedAggregateHashTable::Stats carry_stats;
     idx_t carry_resets = 0;
+    idx_t bypassed_rows = 0;
     idx_t demote_limit = 0;
     idx_t last_compact_count = 0;
     idx_t early_compactions = 0;

@@ -14,6 +14,7 @@ void AddAggregateStats(const HashAggregateStats &stats,
   profile.AddCounter("agg.materialized_rows", stats.materialized_rows);
   profile.AddCounter("agg.unique_groups", stats.unique_groups);
   profile.AddCounter("agg.phase1_resets", stats.phase1_resets);
+  profile.AddCounter("agg.phase1_bypassed_rows", stats.phase1_bypassed_rows);
   profile.AddCounter("agg.early_compactions", stats.early_compactions);
   profile.AddCounter("agg.early_compacted_rows", stats.early_compacted_rows);
   profile.AddCounter("agg.phase2_in_place_partitions",
@@ -45,6 +46,8 @@ void AddAggregateStats(const HashAggregateStats &stats,
     profile.AddCounter("agg.sampled_rows", stats.planner.sampled_rows);
     profile.AddCounter("agg.planner_threads", stats.planner.threads);
     profile.AddCounter("agg.direct_index", stats.planner.direct_index ? 1 : 0);
+    profile.AddCounter("agg.phase1_bypass",
+                       stats.planner.phase1_bypass ? 1 : 0);
     profile.AddCounter("agg.direct_hit_rows", stats.ht.direct_hit_rows);
     profile.AddTiming("agg.sampling_seconds", stats.sampling_seconds);
     profile.AddTiming("agg.cost_central", stats.planner.central_cost);

@@ -73,6 +73,14 @@ class PartitionedTupleData {
     }
   }
 
+  /// Releases the append pins of every page except each partition's row
+  /// and heap write pages (TupleDataCollection::ReleaseFilledPins).
+  void ReleaseFilledPins() {
+    for (idx_t i = 0; i < partitions_.size(); i++) {
+      partitions_[i]->ReleaseFilledPins(states_[i]);
+    }
+  }
+
   /// Releases one partition's pins only (safe while other partitions are
   /// concurrently iterated by their own tasks).
   void ReleasePartitionPins(idx_t partition_idx) {

@@ -339,6 +339,16 @@ Status TupleDataCollection::AppendRows(TupleDataAppendState &state,
   return status;
 }
 
+void TupleDataCollection::ReleaseFilledPins(
+    TupleDataAppendState &state) const {
+  std::erase_if(state.row_pins, [this](const auto &pin) {
+    return pin.first != current_row_page_;
+  });
+  std::erase_if(state.heap_pins, [this](const auto &pin) {
+    return pin.first != current_heap_page_;
+  });
+}
+
 void TupleDataCollection::InitScan(TupleDataScanState &state,
                                    bool destroy_after_scan) {
   state.page_idx = 0;

@@ -124,6 +124,12 @@ class TupleDataCollection {
   Status AppendRows(TupleDataAppendState &state, const DataChunk &input,
                     const idx_t *sel, idx_t count, data_ptr_t *row_ptrs_out);
 
+  /// Drops the pins `state` holds on every page except the row page and
+  /// the heap page being filled, so that the pages AppendRows has moved
+  /// past may be evicted. Row addresses on those pages become invalid: for
+  /// callers that never touch a row again once it is written.
+  void ReleaseFilledPins(TupleDataAppendState &state) const;
+
   /// Initializes a scan. If destroy_after_scan is set, pages are destroyed
   /// as soon as the scan moves past them.
   void InitScan(TupleDataScanState &state, bool destroy_after_scan = false);

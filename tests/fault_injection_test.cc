@@ -420,6 +420,7 @@ class FaultSweepTest : public ::testing::Test {
     Status status;
     std::vector<std::string> rows;
     idx_t in_place_partitions = 0;
+    idx_t bypassed_rows = 0;
   };
   SweepRun RunOnce(const std::string &dir, FaultInjector &injector) {
     FaultInjectingFileSystem fault_fs(FileSystem::Default(), injector);
@@ -440,6 +441,7 @@ class FaultSweepTest : public ::testing::Test {
       if (stats.ok()) {
         run.rows = CanonicalRows(collector);
         run.in_place_partitions = stats.value().phase2_in_place_partitions;
+        run.bypassed_rows = stats.value().phase1_bypassed_rows;
       }
       // The no-leak invariant, asserted while the pool is still alive:
       // whatever happened, all pins were released, all temporary storage
@@ -473,6 +475,10 @@ class FaultSweepTest : public ::testing::Test {
     // Every partition of the unique workload is grouped in place, so the
     // sweep covers the pins that path holds from probe to emission.
     EXPECT_EQ(reference.in_place_partitions, idx_t{1} << kRadixBits);
+    // Its sample is unique too, so phase 1 appends the rest of the input
+    // without lookups: the sweep covers the bypass's allocations, its I/O
+    // and the pins it drops.
+    EXPECT_GT(reference.bypassed_rows, 0u);
 
     // Cap the number of swept indices to bound runtime; the stride still
     // covers the full range, ends included.

@@ -99,12 +99,15 @@ TEST_P(HashAggregateE2ETest, HighCardinalityInMemory) {
   BufferManager bm(temp_dir_, 2048 * kPageSize);
   TaskExecutor executor(Threads());
   constexpr idx_t kRows = 200000;
-  constexpr idx_t kGroups = 50000;
+  // Fewer groups than the planner samples: the sample sees duplicates, so
+  // phase 1 keeps looking groups up (and resetting) instead of bypassing.
+  constexpr idx_t kGroups = 20000;
   auto source = MakeSource(kRows, kGroups);
   MaterializedCollector collector;
   HashAggregateConfig config;
   config.phase1_capacity = 4096;  // force resets: groups >> capacity
   config.radix_bits = 3;
+  config.strategy = AggregateStrategy::kRadixMerge;
   auto stats = RunGroupedAggregation(
       bm, source, {0},
       {{AggregateKind::kSum, 1},
@@ -113,6 +116,8 @@ TEST_P(HashAggregateE2ETest, HighCardinalityInMemory) {
       collector, executor, config);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   CheckSums(collector, kRows, kGroups);
+  EXPECT_FALSE(stats.value().planner.phase1_bypass);
+  EXPECT_EQ(stats.value().phase1_bypassed_rows, 0u);
   EXPECT_GT(stats.value().phase1_resets, 0u);
   // Duplicate groups across resets: more materialized rows than groups.
   EXPECT_GT(stats.value().materialized_rows, kGroups);

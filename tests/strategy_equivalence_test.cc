@@ -1,7 +1,9 @@
 // Strategy equivalence and robustness (DESIGN.md section 11): every
 // strategy the adaptive planner can pick — central, radix, and the adaptive
 // selection itself — must produce identical results, under both probe
-// pipelines, at 2 and 4 threads and under spill-forcing memory limits; and
+// pipelines, at 2 and 4 threads and under spill-forcing memory limits, on
+// mixed input and on unique input (where the radix plan skips the phase-1
+// lookups); and
 // the central plan (its transition, and its thread tables joining the
 // partition-wise phase 2) must degrade to a clean Status (no leaked pins,
 // temp slots, or memory charges) when any I/O or allocation fails.
@@ -82,6 +84,54 @@ std::vector<AggregateRequest> TestAggregates() {
           {AggregateKind::kAnyValue, 2}};
 }
 
+/// Unique-key workload, grouped by (key, label): every row is its own group
+/// except the NULL-key rows, which share one. Labels and payloads are
+/// stored out of line; some values are NULL.
+std::vector<LogicalTypeId> UniqueTypes() {
+  return {LogicalTypeId::kInt64, LogicalTypeId::kInt64,
+          LogicalTypeId::kVarchar, LogicalTypeId::kVarchar};
+}
+
+RangeSource MakeUniqueWorkload(idx_t total_rows) {
+  return RangeSource(
+      UniqueTypes(), total_rows,
+      [](DataChunk &chunk, idx_t start, idx_t count) {
+        for (idx_t i = 0; i < count; i++) {
+          idx_t row = start + i;
+          uint64_t r = HashUint64(row);
+          chunk.column(0).SetValue<int64_t>(i, static_cast<int64_t>(row));
+          chunk.column(1).SetValue<int64_t>(i,
+                                            static_cast<int64_t>(row % 1000));
+          if (r % 13 == 0) {
+            chunk.column(1).validity().SetInvalid(i);
+          }
+          // The payload is a function of the group, so ANY_VALUE is
+          // deterministic.
+          std::string group = std::to_string(row);
+          if (r % 97 == 0) {
+            chunk.column(0).validity().SetInvalid(i);
+            group = "null";
+          }
+          chunk.column(2).SetString(i,
+                                    "label_" + group + "_stored_out_of_line");
+          chunk.column(3).SetString(i,
+                                    "payload_" + group + "_stored_out_of_line");
+        }
+        return Status::OK();
+      });
+}
+
+/// Every aggregate function.
+std::vector<AggregateRequest> UniqueAggregates() {
+  return {{AggregateKind::kSum, 1},   {AggregateKind::kCount, 1},
+          {AggregateKind::kCountStar, kInvalidIndex},
+          {AggregateKind::kMin, 1},   {AggregateKind::kMax, 1},
+          {AggregateKind::kAvg, 1},   {AggregateKind::kAnyValue, 3}};
+}
+
+/// The query shapes the equivalence suite runs.
+enum class Pipeline { kMixed, kUnique };
+
 /// Canonical (sorted) form of a collected result, for comparison across
 /// runs with unspecified row order.
 std::vector<std::string> CanonicalRows(const MaterializedCollector &collector) {
@@ -117,18 +167,23 @@ class StrategyEquivalenceTest : public ::testing::Test {
   };
 
   RunOutput Run(AggregateStrategy strategy, bool vectorized,
-                idx_t memory_pages, idx_t threads = 2) {
+                idx_t memory_pages, idx_t threads = 2,
+                Pipeline pipeline = Pipeline::kMixed) {
     BufferManager bm(temp_dir_, memory_pages * kPageSize);
     TaskExecutor executor(threads);
-    auto source = MakeWorkload(kRows, kTailGroups);
+    const bool unique = pipeline == Pipeline::kUnique;
+    auto source = unique ? MakeUniqueWorkload(kUniqueRows)
+                         : MakeWorkload(kRows, kTailGroups);
     MaterializedCollector collector;
     HashAggregateConfig config;
     config.phase1_capacity = 1024;  // small: resets + transitions happen
     config.radix_bits = 3;
     config.strategy = strategy;
     config.vectorized_probe = vectorized;
-    auto stats = RunGroupedAggregation(bm, source, {0}, TestAggregates(),
-                                       collector, executor, config);
+    auto stats = RunGroupedAggregation(
+        bm, source, unique ? std::vector<idx_t>{0, 2} : std::vector<idx_t>{0},
+        unique ? UniqueAggregates() : TestAggregates(), collector, executor,
+        config);
     EXPECT_TRUE(stats.ok()) << stats.status().ToString();
     RunOutput out;
     out.rows = CanonicalRows(collector);
@@ -140,35 +195,52 @@ class StrategyEquivalenceTest : public ::testing::Test {
 
   static constexpr idx_t kRows = 200000;
   static constexpr idx_t kTailGroups = 5000;
+  static constexpr idx_t kUniqueRows = 60000;
   std::string temp_dir_;
 };
 
 TEST_F(StrategyEquivalenceTest, AllStrategiesAgreeOnAllPipelines) {
-  RunOutput reference =
-      Run(AggregateStrategy::kRadixMerge, /*vectorized=*/true,
-          /*memory_pages=*/2048);
-  ASSERT_GT(reference.rows.size(), kTailGroups / 2);
+  for (Pipeline pipeline : {Pipeline::kMixed, Pipeline::kUnique}) {
+    const bool unique = pipeline == Pipeline::kUnique;
+    RunOutput reference =
+        Run(AggregateStrategy::kRadixMerge, /*vectorized=*/true,
+            /*memory_pages=*/2048, /*threads=*/2, pipeline);
+    ASSERT_GT(reference.rows.size(),
+              unique ? kUniqueRows / 2 : kTailGroups / 2);
 
-  for (AggregateStrategy strategy :
-       {AggregateStrategy::kAdaptive, AggregateStrategy::kCentralMerge,
-        AggregateStrategy::kRadixMerge}) {
-    for (bool vectorized : {true, false}) {
-      // Ample memory, then a limit tight enough that the radix plan spills
-      // (the central thread tables must survive the same pressure).
-      for (idx_t pages : {idx_t{2048}, idx_t{96}}) {
-        // 4 threads is where the cost models once advised a tree merge.
-        for (idx_t threads : {idx_t{2}, idx_t{4}}) {
-          SCOPED_TRACE(std::string("strategy=") +
-                       AggregateStrategyName(strategy) +
-                       " vectorized=" + (vectorized ? "1" : "0") +
-                       " pages=" + std::to_string(pages) +
-                       " threads=" + std::to_string(threads));
-          RunOutput run = Run(strategy, vectorized, pages, threads);
-          EXPECT_EQ(run.rows, reference.rows);
-          EXPECT_TRUE(run.stats.planner_decided);
-          if (strategy != AggregateStrategy::kAdaptive) {
-            EXPECT_TRUE(run.stats.planner.forced);
-            EXPECT_EQ(run.stats.planner.strategy, strategy);
+    for (AggregateStrategy strategy :
+         {AggregateStrategy::kAdaptive, AggregateStrategy::kCentralMerge,
+          AggregateStrategy::kRadixMerge}) {
+      for (bool vectorized : {true, false}) {
+        // Ample memory, then a limit tight enough that the radix plan
+        // spills (the central thread tables must survive the same
+        // pressure).
+        for (idx_t pages : {idx_t{2048}, idx_t{96}}) {
+          // 4 threads is where the cost models once advised a tree merge.
+          for (idx_t threads : {idx_t{2}, idx_t{4}}) {
+            SCOPED_TRACE(std::string("pipeline=") +
+                         (unique ? "unique" : "mixed") + " strategy=" +
+                         AggregateStrategyName(strategy) +
+                         " vectorized=" + (vectorized ? "1" : "0") +
+                         " pages=" + std::to_string(pages) +
+                         " threads=" + std::to_string(threads));
+            RunOutput run = Run(strategy, vectorized, pages, threads, pipeline);
+            EXPECT_EQ(run.rows, reference.rows);
+            EXPECT_TRUE(run.stats.planner_decided);
+            if (strategy != AggregateStrategy::kAdaptive) {
+              EXPECT_TRUE(run.stats.planner.forced);
+              EXPECT_EQ(run.stats.planner.strategy, strategy);
+            }
+            // Unique input: central looks every row up, the radix plan
+            // appends the rows after the sample without a lookup.
+            const bool bypass =
+                unique && strategy != AggregateStrategy::kCentralMerge;
+            EXPECT_EQ(run.stats.planner.phase1_bypass, bypass);
+            if (bypass) {
+              EXPECT_GT(run.stats.phase1_bypassed_rows, 0u);
+            } else {
+              EXPECT_EQ(run.stats.phase1_bypassed_rows, 0u);
+            }
           }
         }
       }
