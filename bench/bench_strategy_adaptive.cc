@@ -136,7 +136,7 @@ Json RunJson(const RunResult &r) {
   object.Set("estimated_groups", r.stats.planner.estimated_groups);
   object.Set("planner_threads", r.stats.planner.threads);
   object.Set("sampling_seconds", r.stats.sampling_seconds);
-  object.Set("demoted", r.stats.planner_demoted);
+  object.Set("phase1_resets", r.stats.phase1_resets);
   return object;
 }
 

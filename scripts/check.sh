@@ -31,8 +31,9 @@
 # central thread tables for a handful of groups and the radix plan for ~1M
 # groups (DESIGN.md section 11), with its decision visible in the profile
 # JSON. The central run must also show that its phase 2 ran partition-wise,
-# that its planner-sized tables never resized, and that tables torn down
-# at the transition and at Combine were not counted as resets.
+# that sizing its thread tables at the decision neither resized nor reset
+# them, and that the sizing kept the sampled groups (at most one row per
+# group and thread reaches phase 2).
 #
 # Copy guard: the radix run of the strategy smoke and the spilling run of
 # the profile smoke group unique input, so phase 2 must take every
@@ -41,6 +42,10 @@
 # Bypass guard: the same two runs must skip the phase-1 lookups after
 # their unique sample (agg.phase1_bypass 1); the radix run must also read
 # bypassed rows and no phase-1 reset, and the central run must not bypass.
+# The radix run uses the library's phase-1 capacity (2^17): at the bench
+# default of 2^15 one thread can take more than 2/3 of it within the
+# 32,768-row sample window and reset before the decision, which is the
+# fixed table working as designed; the guard is about resets after it.
 #
 # The plain build also runs the memory-limit cell: SF 8 wide grouping 13 in
 # 48 MiB with 2 threads, 20 times at each of two fan-out settings, each run
@@ -188,6 +193,7 @@ strategy_smoke() {
   mv "$work/results/bench_single_query.json" "$work/low.json"
   # Grouping 13 (all-unique) at SF 18: ~1.08M groups -> radix merge.
   (cd "$work" && SSAGG_BENCH_THREADS=2 SSAGG_BENCH_TMPDIR="$work/tmp" \
+      SSAGG_BENCH_PHASE1_CAPACITY=131072 \
       "$OLDPWD/$dir/bench/bench_single_query" 18 thin 13 du)
   mv "$work/results/bench_single_query.json" "$work/high.json"
   python3 - "$work" <<'EOF'
@@ -211,12 +217,18 @@ for name, expected, label in (("low", 1, "central"), ("high", 3, "radix")):
         # are aggregated partition-wise, like the radix plan's.
         assert copied + in_place > 0, \
             f"central phase 2 did not run partition-wise: {counters}"
-        # Planner-sized central tables leave a chunk of headroom, and a
-        # table torn down is released, not reset.
+        # Planner-sized central tables leave a chunk of headroom, so they
+        # neither resize nor reset.
         resizes = counters.get("agg.ht_resizes")
         resets = counters.get("agg.phase1_resets")
         assert resizes == 0 and resets == 0, \
             f"central run read {resizes} resizes and {resets} resets"
+        # The sizing rehomes the groups sampled into each of the 2 threads'
+        # tables instead of materializing them again.
+        materialized = counters.get("agg.materialized_rows")
+        groups = counters.get("agg.unique_groups")
+        assert materialized <= 2 * groups, \
+            f"central run materialized {materialized} rows for {groups} groups"
         # Central thread tables always look their groups up.
         assert counters.get("agg.phase1_bypass") == 0, \
             f"central run bypassed the phase-1 lookups: {counters}"

@@ -6,7 +6,6 @@
 #include <cstdlib>
 
 #include "common/hash.h"
-#include "observe/flight_recorder.h"
 #include "observe/metrics.h"
 #include "observe/trace.h"
 
@@ -345,8 +344,6 @@ void AggregatePlanner::DecideLocked() {
       1;
   d.local_table_capacity = NextPowerOfTwo(static_cast<idx_t>(std::min(
       std::max(chunk_headroom, 4.0 * groups), std::ldexp(1.0, 22))));
-  d.demote_group_limit = static_cast<idx_t>(
-      std::min(std::max(8.0 * groups, 65536.0), std::ldexp(1.0, 23)));
 
   // Direct-index fast path: worth it exactly where central lives (a small,
   // hot group set), and only when the single int64 key's sampled span fits
@@ -366,8 +363,7 @@ void AggregatePlanner::DecideLocked() {
 
   decision_ = d;
   // Instant markers: which strategy won and at what estimated size. They
-  // always reach the flight recorder, so a demotion dump shows the decision
-  // it abandons.
+  // always reach the flight recorder, so any later dump shows the decision.
   TraceInstant("planner.strategy", "agg", static_cast<idx_t>(d.strategy));
   TraceInstant("planner.estimated_groups", "agg", d.estimated_groups);
   TraceInstant("planner.sampling_us", "agg",
@@ -381,7 +377,6 @@ void AggregatePlanner::DecideLocked() {
     TraceInstant("planner.phase1_bypass", "agg",
                  static_cast<idx_t>(sample_distinct));
   }
-  phase1_bypass_.store(d.phase1_bypass, std::memory_order_release);
   decided_.store(true, std::memory_order_release);
   sampling_done_.store(true, std::memory_order_release);
 }
@@ -389,15 +384,6 @@ void AggregatePlanner::DecideLocked() {
 PlannerDecision AggregatePlanner::decision() const {
   ScopedLock guard(lock_);
   return decision_;
-}
-
-void AggregatePlanner::Demote() {
-  if (!demoted_.exchange(true, std::memory_order_release)) {
-    // A demotion means the planner misestimated badly enough to abandon its
-    // plan mid-query — exactly the moment the recent event history is worth
-    // keeping (no-op unless SSAGG_FLIGHT_DUMP is configured).
-    (void)FlightRecorder::Global().DumpAnomaly("demotion");
-  }
 }
 
 bool AggregatePlanner::SpillPressure() {
@@ -430,11 +416,11 @@ bool AggregatePlanner::ShouldEarlyAggregate() {
   if (!decided()) {
     return false;  // no duplication evidence yet
   }
-  if (EffectiveStrategy() != AggregateStrategy::kRadixMerge) {
-    // Central tables are already fully aggregated; nothing to compact.
+  PlannerDecision d = decision();
+  if (d.strategy != AggregateStrategy::kRadixMerge) {
+    // Central tables are sized to hold every group; nothing to compact.
     return false;
   }
-  PlannerDecision d = decision();
   if (d.reduction_ratio < 2.0) {
     // Compaction cannot shrink mostly-unique data; the 1.6x CPU cost of the
     // ablation would buy nothing.

@@ -25,9 +25,10 @@ enum class AggregateStrategy : uint8_t {
   /// Sample the first chunks, estimate cardinality, pick one of the two
   /// concrete strategies below with the cost models.
   kAdaptive = 0,
-  /// Each thread keeps one right-sized resizable table, so every group is
-  /// materialized once per thread. Wins at low cardinality, where the table
-  /// stays cache-resident and phase 2 has almost nothing to merge.
+  /// Each thread's phase-1 table is rebuilt once at a capacity sized from
+  /// the estimate, so every group is materialized once per thread (an
+  /// underestimate costs resets, not memory). Wins at low cardinality, where
+  /// the table stays cache-resident and phase 2 has almost nothing to merge.
   kCentralMerge = 1,
   /// The paper's two-phase radix plan: fixed-size thread tables that reset
   /// at 2/3 fill and materialize into 2^radix_bits spillable partitions.
@@ -85,7 +86,7 @@ struct AggregateCostModel {
   double probe_l2_ns = 9.0;    // <= 4 MiB
   double probe_dram_ns = 14.0;  // beyond LLC
   /// Per-row cost of scanning materialized rows and merging them into a
-  /// resizable table (phase 2, and the central plan's transition).
+  /// resizable table (phase 2).
   double merge_row_ns = 25.0;
   /// Per-group cost of finalizing and emitting an output row.
   double emit_row_ns = 15.0;
@@ -162,16 +163,16 @@ struct PlannerDecision {
   /// Cost-model outputs, in estimated seconds.
   double central_cost = 0;
   double radix_cost = 0;
-  /// Initial entry-array capacity for central thread tables.
+  /// Entry-array capacity each thread's phase-1 table is rebuilt at under
+  /// the central plan. A table that still outgrows it resets at 2/3 fill
+  /// like any phase-1 table.
   idx_t local_table_capacity = 0;
-  /// Central tables above this many groups demote the query to radix
-  /// (misestimate guard).
-  idx_t demote_group_limit = 0;
   /// Perfect-hash fast path: the query groups by a single int64 key whose
   /// sampled value span fits kDirectIndexMaxRange, so central thread
   /// tables index group-row pointers by key value directly (no hashing, no
-  /// probe). Keys outside [direct_min, direct_min + direct_range) that the
-  /// sample never saw fall back to the generic path chunk-wise at run time.
+  /// probe) until their first reset. Keys outside [direct_min, direct_min +
+  /// direct_range) that the sample never saw fall back to the generic path
+  /// chunk-wise at run time.
   bool direct_index = false;
   int64_t direct_min = 0;
   idx_t direct_range = 0;
@@ -183,9 +184,9 @@ struct PlannerDecision {
 };
 
 /// Per-query planner: accumulates the sampling phase, makes the strategy
-/// decision once, then serves cheap post-decision queries (effective
-/// strategy under demotion, early-aggregation advice from live spill
-/// pressure). Thread-safe; the post-decision fast path is one relaxed load.
+/// decision once, then serves cheap post-decision queries (early-aggregation
+/// advice from live spill pressure). Thread-safe; the post-decision fast
+/// path is one relaxed load.
 class AggregatePlanner {
  public:
   struct Options {
@@ -245,27 +246,6 @@ class AggregatePlanner {
   /// The decision; EnsureDecided must have run (or decided() be true).
   [[nodiscard]] PlannerDecision decision() const;
 
-  /// The decision's strategy, downgraded to radix after demotion.
-  [[nodiscard]] AggregateStrategy EffectiveStrategy() const {
-    if (demoted_.load(std::memory_order_acquire)) {
-      return AggregateStrategy::kRadixMerge;
-    }
-    return decision().strategy;
-  }
-
-  /// Misestimate guard: a central thread table outgrew the decision's
-  /// demote_group_limit, so every thread falls back to the fixed radix
-  /// tables (the retired table's rows join the exchange like any other).
-  void Demote();
-  [[nodiscard]] bool demoted() const {
-    return demoted_.load(std::memory_order_acquire);
-  }
-
-  /// The decision's phase1_bypass, readable without the planner lock.
-  [[nodiscard]] bool phase1_bypass() const {
-    return phase1_bypass_.load(std::memory_order_acquire);
-  }
-
   /// EarlyAggMode::kAuto runtime signal: true when the sampled reduction
   /// ratio says compaction can shrink the data at least ~2x AND the metrics
   /// registry has seen spill writes or pool evictions since this planner
@@ -288,8 +268,6 @@ class AggregatePlanner {
 
   std::atomic<bool> decided_{false};
   std::atomic<bool> sampling_done_{false};
-  std::atomic<bool> demoted_{false};
-  std::atomic<bool> phase1_bypass_{false};
   std::atomic<idx_t> threads_{0};
 
   // Spill-pressure baseline captured at construction; results cached

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "common/string_type.h"
 #include "observe/trace.h"
 
 namespace ssagg {
@@ -88,16 +87,6 @@ Status GroupedAggregateHashTable::Initialize(AggregateRowLayout row_layout) {
   ht_offsets_.resize(kVectorSize);
   salts_.resize(kVectorSize);
   new_row_ptrs_.resize(kVectorSize);
-
-  // Direct-index pointer cache: only for resizable (merge) tables over a
-  // single non-NULL-layout int64 group key; fixed-size tables reset too
-  // often for cached pointers to pay off.
-  direct_enabled_ = config_.direct_range > 0 && config_.resizable &&
-                    row_layout_.group_count == 1 &&
-                    row_layout_.layout.ColumnType(0) == LogicalTypeId::kInt64;
-  if (direct_enabled_) {
-    direct_ptrs_.assign(config_.direct_range + 1, nullptr);
-  }
   return Status::OK();
 }
 
@@ -105,115 +94,7 @@ std::vector<LogicalTypeId> GroupedAggregateHashTable::OutputTypes() const {
   return row_layout_.OutputTypes();
 }
 
-bool GroupedAggregateHashTable::RowMatches(const DataChunk &layout_chunk,
-                                           idx_t r,
-                                           const_data_ptr_t row) const {
-  const TupleDataLayout &layout = row_layout_.layout;
-  // Compare the stored hash first (cheap 8-byte check), then group columns.
-  {
-    hash_t row_hash;
-    std::memcpy(&row_hash, row + row_layout_.hash_offset, sizeof(hash_t));
-    hash_t in_hash;
-    std::memcpy(&in_hash,
-                layout_chunk.column(row_layout_.hash_column).data() +
-                    r * sizeof(hash_t),
-                sizeof(hash_t));
-    if (row_hash != in_hash) {
-      return false;
-    }
-  }
-  for (idx_t c = 0; c < row_layout_.group_count; c++) {
-    const Vector &vec = layout_chunk.column(c);
-    bool in_valid = vec.validity().RowIsValid(r);
-    bool row_valid = layout.RowIsColumnValid(row, c);
-    if (in_valid != row_valid) {
-      return false;
-    }
-    if (!in_valid) {
-      continue;  // NULL == NULL for grouping
-    }
-    idx_t offset = layout.ColumnOffset(c);
-    if (TypeIsVarSize(layout.ColumnType(c))) {
-      string_t stored;
-      std::memcpy(&stored, row + offset, sizeof(string_t));
-      const string_t &input = vec.Values<string_t>()[r];
-      if (stored != input) {
-        return false;
-      }
-    } else {
-      idx_t width = TypeWidth(layout.ColumnType(c));
-      if (std::memcmp(row + offset, vec.data() + r * width, width) != 0) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
 Status GroupedAggregateHashTable::FindOrCreateGroups(
-    const DataChunk &layout_chunk, const hash_t *hashes, idx_t start,
-    idx_t count) {
-  if (config_.vectorized_probe) {
-    return FindOrCreateGroupsVectorized(layout_chunk, hashes, start, count);
-  }
-  return FindOrCreateGroupsScalar(layout_chunk, hashes, start, count);
-}
-
-Status GroupedAggregateHashTable::FindOrCreateGroupsScalar(
-    const DataChunk &layout_chunk, const hash_t *hashes, idx_t start,
-    idx_t count) {
-  uint64_t *table = entries();
-  const bool use_salt = config_.use_salt;
-  for (idx_t r = start; r < start + count; r++) {
-    // Grow / guard *before* inserting so the table never fills up
-    // completely (linear probing needs empty slots to terminate).
-    if (config_.resizable) {
-      if (count_ >= capacity_ * config_.reset_fill_ratio) {
-        SSAGG_RETURN_NOT_OK(Resize());
-        table = entries();
-      }
-    } else {
-      SSAGG_ASSERT(count_ < capacity_);
-    }
-    const hash_t h = hashes[r];
-    const uint16_t salt = ExtractSalt(h);
-    idx_t idx = h & mask_;
-    while (true) {
-      stats_.probe_steps++;
-      uint64_t entry = table[idx];
-      if (entry == 0) {
-        // New group: materialize the row directly into its radix partition
-        // (column-major -> row-major conversion happens here), or in place,
-        // take the source row itself.
-        data_ptr_t row;
-        if (in_place_rows_ != nullptr) {
-          row = in_place_rows_[r];
-        } else {
-          SSAGG_ASSIGN_OR_RETURN(row, data_->AppendRow(layout_chunk, h, r));
-        }
-        table[idx] = MakeEntry(row, salt);
-        count_++;
-        stats_.inserts++;
-        row_ptrs_[r] = row;
-        break;
-      }
-      if (!use_salt || EntrySalt(entry) == salt) {
-        data_ptr_t row = EntryPointer(entry);
-        stats_.key_compares++;
-        stats_.scalar_compares++;
-        if (RowMatches(layout_chunk, r, row)) {
-          row_ptrs_[r] = row;
-          break;
-        }
-        stats_.key_compare_misses++;
-      }
-      idx = (idx + 1) & mask_;
-    }
-  }
-  return Status::OK();
-}
-
-Status GroupedAggregateHashTable::FindOrCreateGroupsVectorized(
     const DataChunk &layout_chunk, const hash_t *hashes, idx_t start,
     idx_t count) {
   SSAGG_DASSERT(start + count <= kVectorSize);
@@ -246,7 +127,9 @@ Status GroupedAggregateHashTable::FindOrCreateGroupsVectorized(
           }
           break;
         }
-        SSAGG_RETURN_NOT_OK(Resize());
+        TraceSpan span("ht.resize", "agg", capacity_ * 2);
+        SSAGG_RETURN_NOT_OK(Rebuild(capacity_ * 2));
+        stats_.resizes++;
         table = entries();
         // The mask changed: every unresolved row restarts its probe.
         for (idx_t i = 0; i < remaining; i++) {
@@ -338,7 +221,6 @@ Status GroupedAggregateHashTable::FindOrCreateGroupsVectorized(
       row_matcher_.Match(layout_chunk, row_ptrs_.data(), compare_sel_,
                          no_match_sel_);
       stats_.key_compares += compare_count;
-      stats_.vectorized_compares += compare_count;
       stats_.key_compare_misses += no_match_sel_.size();
       // Matched rows are done (row_ptrs_ already points at their group);
       // mismatches advance one slot and go into the next round.
@@ -358,8 +240,8 @@ Status GroupedAggregateHashTable::AddChunkDirect(const DataChunk &input,
   const Vector &key_vec = input.column(row_layout_.group_columns[0]);
   const auto *keys = key_vec.Values<int64_t>();
   const ValidityMask &validity = key_vec.validity();
-  const uint64_t range = config_.direct_range;
-  const auto min = static_cast<uint64_t>(config_.direct_min);
+  const uint64_t range = direct_range_;
+  const auto min = static_cast<uint64_t>(direct_min_);
   // Resolve every row before mutating anything: a single uncached or
   // out-of-range key (wraparound makes below-min keys land past `range`)
   // bails the whole chunk out to the generic path, which is then free to
@@ -414,8 +296,8 @@ void GroupedAggregateHashTable::BackfillDirect(const DataChunk &input) {
   const Vector &key_vec = input.column(row_layout_.group_columns[0]);
   const auto *keys = key_vec.Values<int64_t>();
   const ValidityMask &validity = key_vec.validity();
-  const uint64_t range = config_.direct_range;
-  const auto min = static_cast<uint64_t>(config_.direct_min);
+  const uint64_t range = direct_range_;
+  const auto min = static_cast<uint64_t>(direct_min_);
   for (idx_t r = 0; r < count; r++) {
     uint64_t idx = range;
     if (validity.RowIsValid(r)) {
@@ -445,9 +327,7 @@ Status GroupedAggregateHashTable::AddChunk(const DataChunk &input) {
     // wasted cache-resolve pass per chunk; drop the cache once the misses
     // are clearly not warmup.
     if (++direct_fallback_streak_ > 64) {
-      direct_enabled_ = false;
-      direct_ptrs_.clear();
-      direct_ptrs_.shrink_to_fit();
+      DropDirect();
     }
   }
   PrepareAppendChunk(input);
@@ -456,7 +336,8 @@ Status GroupedAggregateHashTable::AddChunk(const DataChunk &input) {
   // fixed-size (phase-1) table: each sub-batch creates at most
   // ResetBudget() new groups; once the budget is gone the table is reset
   // mid-chunk (updates for the previous sub-batch have already been
-  // applied, so releasing the pins is safe).
+  // applied, so releasing the pins is safe). The reset also drops the
+  // direct index, so the backfill below never caches a row it unpinned.
   idx_t done = 0;
   while (done < count) {
     idx_t batch = count - done;
@@ -613,8 +494,6 @@ void GroupedAggregateHashTable::Stats::Merge(const Stats &other) {
   resizes += other.resizes;
   probe_rounds += other.probe_rounds;
   prefetches += other.prefetches;
-  vectorized_compares += other.vectorized_compares;
-  scalar_compares += other.scalar_compares;
   direct_hit_rows += other.direct_hit_rows;
   direct_fallback_chunks += other.direct_fallback_chunks;
 }
@@ -624,13 +503,17 @@ void GroupedAggregateHashTable::ClearPointerTable() {
   std::memset(entries_alloc_.data(), 0, capacity_ * 8);
   count_ = 0;
   stats_.resets++;
-  if (direct_enabled_) {
-    // The cached row pointers die with the pins released below.
-    std::fill(direct_ptrs_.begin(), direct_ptrs_.end(), nullptr);
-  }
+  // The cached row pointers die with the pins released below; a table that
+  // resets has outgrown the small group set the cache was armed for.
+  DropDirect();
   // The tuples stay in place; only their pins are released so the buffer
   // manager may evict the pages.
   data_->ReleaseAppendPins();
+}
+
+void GroupedAggregateHashTable::DropDirect() {
+  direct_enabled_ = false;
+  direct_ptrs_ = {};
 }
 
 void GroupedAggregateHashTable::ReleasePointerTable() {
@@ -640,24 +523,34 @@ void GroupedAggregateHashTable::ReleasePointerTable() {
   data_->ReleaseAppendPins();
 }
 
-Status GroupedAggregateHashTable::Resize() {
-  SSAGG_ASSERT(config_.resizable);
-  TraceSpan span("ht.resize", "agg", capacity_ * 2);
-  // In a resizable table the pointer table is never reset, so every group
-  // has an entry, and its row (pinned by the table or, in place, by the
-  // caller) carries the hash: rebuild from the old array.
-  idx_t new_capacity = capacity_ * 2;
-  if (new_capacity > (idx_t(1) << kMaxHashTableBits)) {
-    return Status::OutOfMemory(
-        "hash table cannot grow beyond 2^24 entries; increase radix bits");
+Status GroupedAggregateHashTable::Presize(idx_t capacity, int64_t direct_min,
+                                          idx_t direct_range) {
+  SSAGG_ASSERT(IsPowerOfTwo(capacity) &&
+               capacity <= (idx_t(1) << kMaxHashTableBits));
+  if (count_ >= capacity * config_.reset_fill_ratio) {
+    ClearPointerTable();
   }
+  SSAGG_RETURN_NOT_OK(Rebuild(capacity));
+  if (direct_range > 0 && row_layout_.group_count == 1 &&
+      row_layout_.layout.ColumnType(0) == LogicalTypeId::kInt64) {
+    direct_enabled_ = true;
+    direct_min_ = direct_min;
+    direct_range_ = direct_range;
+    direct_ptrs_.assign(direct_range + 1, nullptr);
+  }
+  return Status::OK();
+}
+
+Status GroupedAggregateHashTable::Rebuild(idx_t capacity) {
+  // Each entry's row (pinned by the table or, in place, by the caller)
+  // carries its hash: the new array is built from the old one.
   SSAGG_ASSIGN_OR_RETURN(auto new_alloc,
-                         buffer_manager_.AllocateNonPaged(new_capacity * 8));
-  std::memset(new_alloc.data(), 0, new_capacity * 8);
+                         buffer_manager_.AllocateNonPaged(capacity * 8));
+  std::memset(new_alloc.data(), 0, capacity * 8);
   const uint64_t *old_table = entries();
   auto *table = reinterpret_cast<uint64_t *>(new_alloc.data());
   const idx_t hash_offset = row_layout_.hash_offset;
-  const idx_t mask = new_capacity - 1;
+  const idx_t mask = capacity - 1;
   for (idx_t i = 0; i < capacity_; i++) {
     const uint64_t entry = old_table[i];
     if (entry == 0) {
@@ -672,9 +565,8 @@ Status GroupedAggregateHashTable::Resize() {
     table[idx] = entry;
   }
   entries_alloc_ = std::move(new_alloc);
-  capacity_ = new_capacity;
+  capacity_ = capacity;
   mask_ = mask;
-  stats_.resizes++;
   return Status::OK();
 }
 

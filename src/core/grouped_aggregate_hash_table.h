@@ -40,23 +40,9 @@ class GroupedAggregateHashTable {
     bool resizable = false;
     /// Ablation knob: disable the salt comparison (always follow pointers).
     bool use_salt = true;
-    /// Ablation knob: process whole chunks through the round-based probe
-    /// pipeline (selection vectors, prefetch, column-at-a-time matching,
-    /// batched inserts). Off = the row-at-a-time reference path.
-    bool vectorized_probe = true;
     /// Fill ratio at which phase-1 tables report NeedsReset (and resizable
     /// tables grow). The paper determined 2/3 experimentally.
     double reset_fill_ratio = kHashTableResetFillRatio;
-    /// Perfect-hash fast path (planner-enabled, DESIGN.md section 11): for
-    /// a single int64 group key whose sampled value range is small, a flat
-    /// pointer cache indexed by `key - direct_min` maps straight to the
-    /// group's row, skipping hashing, probing and key matching. Slot
-    /// `direct_range` is reserved for the NULL key. Any uncached or
-    /// out-of-range key sends that whole chunk down the generic path (which
-    /// backfills the cache), so keys the sample never saw stay correct.
-    /// direct_range == 0 disables; only meaningful on resizable tables.
-    int64_t direct_min = 0;
-    idx_t direct_range = 0;
   };
 
   struct Stats {
@@ -66,11 +52,9 @@ class GroupedAggregateHashTable {
     uint64_t inserts = 0;
     uint64_t resets = 0;
     uint64_t resizes = 0;
-    // Vectorized-probe pipeline counters.
-    uint64_t probe_rounds = 0;         // pipeline rounds over shrinking sels
-    uint64_t prefetches = 0;           // software prefetches issued
-    uint64_t vectorized_compares = 0;  // candidates matched column-at-a-time
-    uint64_t scalar_compares = 0;      // candidates matched row-at-a-time
+    // Probe pipeline counters.
+    uint64_t probe_rounds = 0;  // pipeline rounds over shrinking sels
+    uint64_t prefetches = 0;    // software prefetches issued
     // Direct-index (perfect hash) fast-path counters.
     uint64_t direct_hit_rows = 0;        // rows resolved via the pointer cache
     uint64_t direct_fallback_chunks = 0;  // chunks sent to the generic path
@@ -123,6 +107,19 @@ class GroupedAggregateHashTable {
   /// row i. The table itself materializes nothing.
   Status CombineInPlace(const DataChunk &layout_chunk, data_ptr_t *src_rows,
                         idx_t first_row, uint64_t *absorbed);
+
+  /// Central plan (DESIGN.md section 11): rebuilds the entry array once at
+  /// `capacity` (a power of two), rehoming each group by the hash stored in
+  /// its row, or resets the table first if its groups would not fit below
+  /// the fill ratio. Not counted as a resize. With `direct_range` > 0 on a
+  /// single int64 group key, also arms the direct-index (perfect hash)
+  /// pointer cache: a key's slot `key - direct_min` holds its group's row,
+  /// and slot `direct_range` the NULL group's, so a chunk whose keys are all
+  /// cached skips hashing, probing and key matching. A chunk with any
+  /// uncached or out-of-range key takes the generic path, which then
+  /// backfills the cache, so keys the sample never saw stay correct. The
+  /// first reset drops the cache for good: the cached rows lose their pins.
+  Status Presize(idx_t capacity, int64_t direct_min, idx_t direct_range);
 
   /// Phase-1 check: the table must be reset once two-thirds full.
   bool NeedsReset() const {
@@ -189,18 +186,8 @@ class GroupedAggregateHashTable {
   /// Probes rows [start, start + count) of `layout_chunk` (which must have
   /// exactly the layout's columns, with the hash column filled from
   /// `hashes`); inserts rows whose group is missing. Writes each row's
-  /// group-row address into `row_ptrs_`. Dispatches to the vectorized
-  /// pipeline or the scalar reference path per Config::vectorized_probe.
-  Status FindOrCreateGroups(const DataChunk &layout_chunk,
-                            const hash_t *hashes, idx_t start, idx_t count);
-
-  /// Row-at-a-time reference implementation (ablation / equivalence tests).
-  Status FindOrCreateGroupsScalar(const DataChunk &layout_chunk,
-                                  const hash_t *hashes, idx_t start,
-                                  idx_t count);
-
-  /// The vectorized probe pipeline. Each round over the shrinking set of
-  /// unresolved rows: (1) prefetch the probed entries; (2) a tight salt
+  /// group-row address into `row_ptrs_`. Each round over the shrinking set
+  /// of unresolved rows: (1) prefetch the probed entries; (2) a tight salt
   /// scan that advances every row to its first empty (claimed) or
   /// salt-matching slot, partitioning the rows into new-group and
   /// match-candidate selections; (3) one batched, partition-aware append
@@ -208,9 +195,8 @@ class GroupedAggregateHashTable {
   /// claim-then-backfill); (4) a column-at-a-time key-match pass over the
   /// candidates; mismatching rows advance one slot and stay for the next
   /// round. The resize/budget guard runs once per round, not per row.
-  Status FindOrCreateGroupsVectorized(const DataChunk &layout_chunk,
-                                      const hash_t *hashes, idx_t start,
-                                      idx_t count);
+  Status FindOrCreateGroups(const DataChunk &layout_chunk,
+                            const hash_t *hashes, idx_t start, idx_t count);
 
   /// New groups a phase-1 (non-resizable) table can still take before
   /// reaching the reset threshold.
@@ -219,10 +205,6 @@ class GroupedAggregateHashTable {
     return threshold > count_ ? threshold - count_ : 0;
   }
 
-  /// Full group-key comparison of input row `r` against a candidate row.
-  bool RowMatches(const DataChunk &layout_chunk, idx_t r,
-                  const_data_ptr_t row) const;
-
   /// Direct-index fast path: resolves every row of `input` through the
   /// pointer cache and folds the aggregate updates. Sets *handled = false
   /// (mutating nothing) on the first uncached or out-of-range key.
@@ -230,10 +212,13 @@ class GroupedAggregateHashTable {
   /// After a generic-path chunk: caches the group-row pointer of every
   /// in-range key the chunk resolved.
   void BackfillDirect(const DataChunk &input);
+  /// Disarms the direct index and frees its cache.
+  void DropDirect();
 
-  /// Doubles the entry array and rebuilds it from the old one, rehoming
-  /// each entry by the hash stored in its row (resizable tables only).
-  Status Resize();
+  /// Replaces the entry array with one of `capacity` entries, rehoming each
+  /// entry by the hash stored in its row (which is pinned while the array
+  /// points at it).
+  Status Rebuild(idx_t capacity);
 
   uint64_t *entries() {
     return reinterpret_cast<uint64_t *>(entries_alloc_.data());
@@ -261,7 +246,7 @@ class GroupedAggregateHashTable {
   std::vector<data_ptr_t> state_ptrs_;
   std::vector<idx_t> sel_scratch_;
 
-  // Vectorized-probe scratch (indexed by absolute chunk row, like
+  // Probe-pipeline scratch (indexed by absolute chunk row, like
   // row_ptrs_).
   RowMatcher row_matcher_;
   std::vector<idx_t> ht_offsets_;
@@ -272,11 +257,13 @@ class GroupedAggregateHashTable {
   SelectionVector compare_sel_;
   SelectionVector no_match_sel_;
 
-  // Direct-index pointer cache (slot direct_range = NULL key); emptied on
-  // ClearPointerTable (the rows' pins are released with it) and dropped for
-  // good after too many consecutive fallback chunks.
+  // Direct-index pointer cache (slot direct_range_ = NULL key), armed by
+  // Presize; dropped for good on ClearPointerTable (the rows' pins are
+  // released with it) or after too many consecutive fallback chunks.
   std::vector<data_ptr_t> direct_ptrs_;
   bool direct_enabled_ = false;
+  int64_t direct_min_ = 0;
+  idx_t direct_range_ = 0;
   idx_t direct_fallback_streak_ = 0;
 
   Stats stats_;

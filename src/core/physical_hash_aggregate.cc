@@ -19,6 +19,9 @@ constexpr double kGroupEstimateMargin = 1.5;
 /// The entry arrays of all threads' partition tables together take at most
 /// this fraction of the memory limit (they are non-paged charges).
 constexpr idx_t kPartitionTableLimitDivisor = 8;
+/// Minimum thread-local materialized rows before compacting early (and the
+/// data must double between compactions), so compaction cannot thrash.
+constexpr idx_t kEarlyAggregationMinRows = idx_t{1} << 16;
 
 }  // namespace
 
@@ -36,7 +39,7 @@ Result<std::unique_ptr<PhysicalHashAggregate>> PhysicalHashAggregate::Create(
   auto agg = std::unique_ptr<PhysicalHashAggregate>(new PhysicalHashAggregate(
       buffer_manager, std::move(input_types), std::move(row_layout), config));
 
-  if (config.enable_direct_index && agg->row_layout_.group_count == 1 &&
+  if (agg->row_layout_.group_count == 1 &&
       agg->input_types_[agg->row_layout_.group_columns[0]] ==
           LogicalTypeId::kInt64) {
     agg->direct_key_column_ = agg->row_layout_.group_columns[0];
@@ -57,21 +60,6 @@ Result<std::unique_ptr<PhysicalHashAggregate>> PhysicalHashAggregate::Create(
   agg->planner_ = std::make_unique<AggregatePlanner>(
       planner_options, MetricsRegistry::Global());
   return agg;
-}
-
-Status PhysicalHashAggregate::MakePhase1Table(
-    std::unique_ptr<GroupedAggregateHashTable> *out) {
-  GroupedAggregateHashTable::Config ht_config;
-  ht_config.capacity = config_.phase1_capacity;
-  ht_config.radix_bits = config_.radix_bits;
-  ht_config.resizable = false;
-  ht_config.use_salt = config_.use_salt;
-  ht_config.vectorized_probe = config_.vectorized_probe;
-  ht_config.reset_fill_ratio = config_.reset_fill_ratio;
-  SSAGG_ASSIGN_OR_RETURN(*out,
-                         GroupedAggregateHashTable::Create(
-                             buffer_manager_, row_layout_, ht_config));
-  return Status::OK();
 }
 
 void PhysicalHashAggregate::ObserveChunkKeyRange(const DataChunk &chunk) {
@@ -101,7 +89,15 @@ void PhysicalHashAggregate::ObserveChunkKeyRange(const DataChunk &chunk) {
 
 Result<std::unique_ptr<LocalSinkState>> PhysicalHashAggregate::InitLocal() {
   auto state = std::make_unique<LocalState>();
-  SSAGG_RETURN_NOT_OK(MakePhase1Table(&state->ht));
+  GroupedAggregateHashTable::Config ht_config;
+  ht_config.capacity = config_.phase1_capacity;
+  ht_config.radix_bits = config_.radix_bits;
+  ht_config.resizable = false;
+  ht_config.use_salt = config_.use_salt;
+  ht_config.reset_fill_ratio = config_.reset_fill_ratio;
+  SSAGG_ASSIGN_OR_RETURN(state->ht, GroupedAggregateHashTable::Create(
+                                        buffer_manager_, row_layout_,
+                                        ht_config));
   planner_->RegisterThread();
   sink_threads_.fetch_add(1, std::memory_order_relaxed);
   return std::unique_ptr<LocalSinkState>(std::move(state));
@@ -109,43 +105,11 @@ Result<std::unique_ptr<LocalSinkState>> PhysicalHashAggregate::InitLocal() {
 
 Status PhysicalHashAggregate::Sink(DataChunk &chunk, LocalSinkState &state) {
   auto &local = static_cast<LocalState &>(state);
-  if (planner_->sampling()) {
-    // Phase 0: the classic fixed-table path, with the chunk's group hashes
-    // (already computed by AddChunk) feeding the estimator. The window
-    // closes inside Observe once enough rows were seen, so the key range
-    // (direct-index candidacy) must be fed first.
-    SSAGG_RETURN_NOT_OK(local.ht->AddChunk(chunk));
-    if (direct_key_column_ != kInvalidIndex) {
-      ObserveChunkKeyRange(chunk);
-    }
-    planner_->Observe(local.ht->LastChunkHashes(), chunk.size());
-    if (local.ht->NeedsReset()) {
-      local.ht->ClearPointerTable();
-    }
-    return MaybeEarlyAggregate(local);
+  const bool sampling = !local.decided && planner_->sampling();
+  if (!sampling && !local.decided) {
+    SSAGG_RETURN_NOT_OK(AdoptDecision(local));
   }
-  PublishPlannerEstimate();
-
-  if (planner_->EffectiveStrategy() == AggregateStrategy::kCentralMerge) {
-    if (!local.merge_ht) {
-      SSAGG_RETURN_NOT_OK(TransitionLocal(local));
-    }
-    SSAGG_RETURN_NOT_OK(local.merge_ht->AddChunk(chunk));
-    if (local.merge_ht->Count() > local.demote_limit) {
-      // Misestimate guard: the table outgrew the decision. Flip the whole
-      // query to the radix plan; other threads notice on their next chunk.
-      planner_->Demote();
-      SSAGG_RETURN_NOT_OK(DemoteLocal(local));
-    }
-    return Status::OK();
-  }
-
-  // Radix plan (chosen, forced, or demoted-to).
-  if (local.merge_ht) {
-    // Another thread demoted the query after this one transitioned.
-    SSAGG_RETURN_NOT_OK(DemoteLocal(local));
-  }
-  if (planner_->phase1_bypass()) {
+  if (local.bypass) {
     // A unique sample: phase-1 probes would miss, so every row goes
     // straight into its radix partition and phase 2 groups them. Only the
     // partitions' write pages stay pinned; there is nothing to reset.
@@ -154,6 +118,15 @@ Status PhysicalHashAggregate::Sink(DataChunk &chunk, LocalSinkState &state) {
     return MaybeEarlyAggregate(local);
   }
   SSAGG_RETURN_NOT_OK(local.ht->AddChunk(chunk));
+  if (sampling) {
+    // Phase 0: the chunk's group hashes (already computed by AddChunk) feed
+    // the estimator. The window closes inside Observe once enough rows were
+    // seen, so the key range (direct-index candidacy) must be fed first.
+    if (direct_key_column_ != kInvalidIndex) {
+      ObserveChunkKeyRange(chunk);
+    }
+    planner_->Observe(local.ht->LastChunkHashes(), chunk.size());
+  }
   if (local.ht->NeedsReset()) {
     // Reset once two-thirds full: only the entry array is cleared, the
     // tuples stay in place and their pages become evictable.
@@ -162,62 +135,25 @@ Status PhysicalHashAggregate::Sink(DataChunk &chunk, LocalSinkState &state) {
   return MaybeEarlyAggregate(local);
 }
 
-void PhysicalHashAggregate::PublishPlannerEstimate() {
-  if (progress_groups_published_.load(std::memory_order_relaxed)) {
-    return;
-  }
-  QueryProgress *progress = progress_.load(std::memory_order_acquire);
-  if (progress == nullptr || !planner_->decided()) {
-    return;
-  }
-  if (!progress_groups_published_.exchange(true,
-                                           std::memory_order_relaxed)) {
-    progress->SetEstimatedGroups(planner_->decision().estimated_groups);
-  }
-}
-
-Status PhysicalHashAggregate::TransitionLocal(LocalState &local) {
+Status PhysicalHashAggregate::AdoptDecision(LocalState &local) {
   const PlannerDecision decision = planner_->decision();
+  local.decided = true;
+  local.central = decision.strategy == AggregateStrategy::kCentralMerge;
+  local.bypass = decision.phase1_bypass;
+  // The first thread past the decision publishes the estimate.
+  QueryProgress *progress = progress_.load(std::memory_order_acquire);
+  if (progress != nullptr &&
+      !progress_groups_published_.exchange(true, std::memory_order_relaxed)) {
+    progress->SetEstimatedGroups(decision.estimated_groups);
+  }
+  if (!local.central) {
+    return Status::OK();
+  }
+  // The groups sampled since the table's last reset are rehomed, not
+  // copied: its rows stay where they are, and phase 2 merges them.
   TraceSpan span("planner.transition", "agg", decision.local_table_capacity);
-  GroupedAggregateHashTable::Config ht_config;
-  ht_config.capacity = decision.local_table_capacity;
-  // Same fan-out as the fixed tables: its rows join the partition-wise
-  // exchange at Combine, demoted or not.
-  ht_config.radix_bits = config_.radix_bits;
-  ht_config.resizable = true;
-  ht_config.use_salt = config_.use_salt;
-  ht_config.vectorized_probe = config_.vectorized_probe;
-  ht_config.reset_fill_ratio = config_.reset_fill_ratio;
-  if (decision.direct_index) {
-    ht_config.direct_min = decision.direct_min;
-    ht_config.direct_range = decision.direct_range;
-  }
-  SSAGG_ASSIGN_OR_RETURN(
-      auto merge_ht, GroupedAggregateHashTable::Create(buffer_manager_,
-                                                       row_layout_, ht_config));
-  // Fold the rows sampled into the fixed table (possibly duplicated across
-  // resets) into the right-sized table, then retire the fixed table.
-  local.ht->ReleasePointerTable();
-  auto &sampled = local.ht->data();
-  for (idx_t p = 0; p < sampled.PartitionCount(); p++) {
-    SSAGG_RETURN_NOT_OK(
-        MergeCollectionInto(*merge_ht, sampled.partition(p), nullptr));
-  }
-  local.carry_stats.Merge(local.ht->stats());
-  local.carry_resets += local.ht->stats().resets;
-  local.ht.reset();
-  local.merge_ht = std::move(merge_ht);
-  local.demote_limit = decision.demote_group_limit;
-  return Status::OK();
-}
-
-Status PhysicalHashAggregate::DemoteLocal(LocalState &local) {
-  TraceSpan span("planner.demote", "agg", local.merge_ht->Count());
-  // Release the merge table's pins so its pages become spillable; its rows
-  // are fully grouped within the table, and join global_data_ at Combine.
-  local.merge_ht->ReleasePointerTable();
-  local.retired.push_back(std::move(local.merge_ht));
-  return MakePhase1Table(&local.ht);
+  return local.ht->Presize(decision.local_table_capacity, decision.direct_min,
+                           decision.direct_range);
 }
 
 idx_t PhysicalHashAggregate::PartitionTableCapacity(idx_t rows,
@@ -266,14 +202,15 @@ bool PhysicalHashAggregate::GroupsInPlace(const TupleDataCollection &partition,
 }
 
 Status PhysicalHashAggregate::MaybeEarlyAggregate(LocalState &local) {
-  if (!local.ht || !planner_->ShouldEarlyAggregate()) {
+  // A central table holds its groups already; there is nothing to compact.
+  if (local.central || !planner_->ShouldEarlyAggregate()) {
     return Status::OK();
   }
   idx_t used = buffer_manager_.memory_used();
   idx_t local_rows = local.ht->data().Count();
   if (used > config_.early_aggregation_ratio *
                  buffer_manager_.memory_limit() &&
-      local_rows >= config_.early_aggregation_min_rows &&
+      local_rows >= kEarlyAggregationMinRows &&
       local_rows >= 2 * local.last_compact_count) {
     SSAGG_RETURN_NOT_OK(EarlyCompactLocal(local));
     local.last_compact_count = local.ht->data().Count();
@@ -299,7 +236,6 @@ Status PhysicalHashAggregate::EarlyCompactLocal(LocalState &local) {
     ht_config.radix_bits = 0;
     ht_config.resizable = true;
     ht_config.use_salt = config_.use_salt;
-    ht_config.vectorized_probe = config_.vectorized_probe;
     ht_config.reset_fill_ratio = config_.reset_fill_ratio;
     SSAGG_ASSIGN_OR_RETURN(
         auto compactor, GroupedAggregateHashTable::Create(
@@ -346,40 +282,25 @@ Status PhysicalHashAggregate::MergeCollectionInto(
 
 Status PhysicalHashAggregate::Combine(LocalSinkState &state) {
   auto &local = static_cast<LocalState &>(state);
-  // Every table the thread built joins the partition-wise exchange, a
-  // central table included: it is radix-partitioned with the query's
-  // fan-out. The exchange releases the append pins, and each entry array
-  // is freed with its table after the rows are handed over: freed before,
-  // it measurably raised peak RSS (DESIGN.md section 11).
-  if (local.merge_ht) {
-    local.retired.push_back(std::move(local.merge_ht));
-  }
-  if (local.ht) {
-    local.retired.push_back(std::move(local.ht));
-  }
+  // The thread's table joins the partition-wise exchange whatever the plan:
+  // it is radix-partitioned with the query's fan-out. The exchange releases
+  // the append pins, and the entry array is freed with the table after the
+  // rows are handed over: freed before, it measurably raised peak RSS
+  // (DESIGN.md section 11).
   ScopedLock guard(lock_);
-  for (auto &table : local.retired) {
-    PushGlobalData(*table);
-  }
-  local.retired.clear();
-  stats_.ht.Merge(local.carry_stats);
-  stats_.phase1_resets += local.carry_resets;
-  stats_.phase1_bypassed_rows += local.bypassed_rows;
-  stats_.early_compactions += local.early_compactions;
-  stats_.early_compacted_rows += local.early_compacted_rows;
-  return Status::OK();
-}
-
-void PhysicalHashAggregate::PushGlobalData(GroupedAggregateHashTable &table) {
   if (!global_data_) {
     global_data_ = std::make_unique<PartitionedTupleData>(
         buffer_manager_, row_layout_.layout, config_.radix_bits);
   }
-  stats_.materialized_rows += table.data().Count();
-  const auto &s = table.stats();
-  stats_.ht.Merge(s);
-  stats_.phase1_resets += s.resets;
-  global_data_->Combine(table.data());
+  stats_.materialized_rows += local.ht->data().Count();
+  stats_.ht.Merge(local.ht->stats());
+  stats_.phase1_resets += local.ht->stats().resets;
+  global_data_->Combine(local.ht->data());
+  local.ht.reset();
+  stats_.phase1_bypassed_rows += local.bypassed_rows;
+  stats_.early_compactions += local.early_compactions;
+  stats_.early_compacted_rows += local.early_compacted_rows;
+  return Status::OK();
 }
 
 Status PhysicalHashAggregate::AggregatePartition(PartitionedTupleData &data,
@@ -398,7 +319,6 @@ Status PhysicalHashAggregate::AggregatePartition(PartitionedTupleData &data,
   ht_config.radix_bits = 0;  // a phase-2 table is not repartitioned
   ht_config.resizable = true;
   ht_config.use_salt = config_.use_salt;
-  ht_config.vectorized_probe = config_.vectorized_probe;
   ht_config.reset_fill_ratio = config_.reset_fill_ratio;
   SSAGG_ASSIGN_OR_RETURN(
       auto ht, GroupedAggregateHashTable::Create(buffer_manager_, row_layout_,
@@ -531,13 +451,11 @@ HashAggregateStats PhysicalHashAggregate::stats() const {
   // Planner fields first: the planner's lock never nests with lock_.
   const bool decided = planner_->decided();
   PlannerDecision decision = decided ? planner_->decision() : PlannerDecision{};
-  const bool demoted = planner_->demoted();
   const double sampling_seconds = planner_->sampling_seconds();
   ScopedLock guard(lock_);
   HashAggregateStats stats = stats_;
   stats.planner = decision;
   stats.planner_decided = decided;
-  stats.planner_demoted = demoted;
   stats.sampling_seconds = sampling_seconds;
   return stats;
 }

@@ -17,17 +17,14 @@ namespace ssagg {
 
 /// Tuning knobs for the aggregation operator.
 struct HashAggregateConfig {
-  /// Capacity of the fixed-size thread-local (phase 1) hash table.
+  /// Capacity of the fixed-size thread-local (phase 1) hash table; the
+  /// central plan rebuilds it at the capacity its estimate sizes.
   idx_t phase1_capacity = kPhase1HashTableCapacity;
   /// Radix partition fan-out (2^radix_bits partitions). The paper
   /// over-partitions so one fully aggregated partition per thread fits in
   /// memory during phase 2.
   idx_t radix_bits = 4;
   bool use_salt = true;
-  /// Ablation knob: route chunks through the vectorized probe pipeline
-  /// (selection vectors, prefetch, batched inserts) instead of the
-  /// row-at-a-time reference path.
-  bool vectorized_probe = true;
   double reset_fill_ratio = kHashTableResetFillRatio;
   /// Which phase-1 table the threads aggregate into (DESIGN.md section 11).
   /// kAdaptive samples the first chunks and picks with the cost models; the
@@ -36,10 +33,6 @@ struct HashAggregateConfig {
   AggregateStrategy strategy = AggregateStrategy::kAdaptive;
   /// Rows (across all threads) the planner samples before deciding.
   idx_t planner_sample_rows = 32768;
-  /// Lets the planner enable the direct-index (perfect hash) fast path on
-  /// central thread tables when the query groups by a single int64 key
-  /// whose sampled value span is small (DESIGN.md section 11).
-  bool enable_direct_index = true;
   /// Total input rows if the caller knows them (RunGroupedAggregation fills
   /// this from DataSource::EstimatedRowCount); kInvalidIndex = unknown.
   idx_t expected_input_rows = kInvalidIndex;
@@ -52,9 +45,6 @@ struct HashAggregateConfig {
   EarlyAggMode early_aggregation = EarlyAggMode::kAuto;
   /// Pool fill ratio that triggers early aggregation.
   double early_aggregation_ratio = 0.8;
-  /// Minimum thread-local materialized rows before compacting (and the
-  /// data must double between compactions), so compaction cannot thrash.
-  idx_t early_aggregation_min_rows = 1ULL << 16;
 };
 
 /// Aggregate progress counters, summed over threads.
@@ -78,7 +68,6 @@ struct HashAggregateStats {
   /// Planner snapshot (copied from the AggregatePlanner at stats() time).
   PlannerDecision planner;
   bool planner_decided = false;
-  bool planner_demoted = false;
   double sampling_seconds = 0;
 };
 
@@ -97,10 +86,10 @@ struct HashAggregateStats {
 ///   2/3 fill. The phase is RAM-oblivious. When the sample was (nearly)
 ///   unique, the planner sets the lookup bypass: the threads append every
 ///   row straight into its radix partition, pinning only each partition's
-///   write pages, and leave all grouping to phase 2. Under central the
-///   worker instead folds everything into one right-sized resizable table
-///   (still radix-partitioned with the same fan-out, so a misestimate can
-///   demote the query back to the fixed tables mid-flight).
+///   write pages, and leave all grouping to phase 2. Under central each
+///   worker rebuilds its table once at the capacity the estimate sizes, so
+///   it holds every group; the table still resets at 2/3 fill, so a
+///   misestimate costs resets, not memory.
 ///
 ///   Phase 2: at Combine every thread table's partitions join one exchange,
 ///   whatever the plan; each partition is then aggregated independently in
@@ -135,7 +124,7 @@ class PhysicalHashAggregate : public DataSink {
   /// Total bytes materialized into partitions (intermediate size).
   [[nodiscard]] idx_t MaterializedBytes() const;
 
-  /// The per-query planner (decision, sampling overhead, demotion state).
+  /// The per-query planner (decision, sampling overhead).
   [[nodiscard]] const AggregatePlanner &planner() const { return *planner_; }
 
   /// Arms live introspection: once the planner commits, its group estimate
@@ -156,41 +145,28 @@ class PhysicalHashAggregate : public DataSink {
         config_(config) {}
 
   struct LocalState : public LocalSinkState {
-    /// Fixed-size phase-1 table (sampling window / radix strategy).
+    /// The thread's phase-1 table: fixed-size, reset at 2/3 fill, and
+    /// rebuilt once at the decision's capacity under the central plan.
     std::unique_ptr<GroupedAggregateHashTable> ht;
-    /// Right-sized resizable table (central strategy, after the
-    /// transition).
-    std::unique_ptr<GroupedAggregateHashTable> merge_ht;
-    /// Merge tables retired by a demotion; their radix-partitioned rows
-    /// join global_data_ at Combine, with the thread's last table.
-    std::vector<std::unique_ptr<GroupedAggregateHashTable>> retired;
-    /// Stats of tables this thread already destroyed (transition).
-    GroupedAggregateHashTable::Stats carry_stats;
-    idx_t carry_resets = 0;
+    /// The decision, read at the thread's first chunk after it was made.
+    bool decided = false;
+    bool central = false;
+    bool bypass = false;
     idx_t bypassed_rows = 0;
-    idx_t demote_limit = 0;
     idx_t last_compact_count = 0;
     idx_t early_compactions = 0;
     idx_t early_compacted_rows = 0;
   };
 
-  Status MakePhase1Table(std::unique_ptr<GroupedAggregateHashTable> *out);
-
   /// Sampling phase: feeds the chunk's int64 key extremes to the planner's
   /// direct-index candidate range.
   void ObserveChunkKeyRange(const DataChunk &chunk);
 
-  /// Central: replaces the thread's fixed table with a right-sized
-  /// resizable one seeded from everything sampled so far.
-  Status TransitionLocal(LocalState &local);
-  /// Misestimate fallback: retires the thread's merge table (its rows join
-  /// the radix exchange at Combine) and resumes with a fixed table.
-  Status DemoteLocal(LocalState &local);
-
-  /// One-shot publication of the planner's group estimate into progress_
-  /// (first thread past the decision wins; later calls are one relaxed
-  /// load).
-  void PublishPlannerEstimate();
+  /// The thread's first chunk after the decision: reads the decision into
+  /// `local`, publishes the estimate into progress_ (first thread wins),
+  /// and under the central plan rebuilds the thread's table at the
+  /// decision's capacity, with the direct index armed if it has one.
+  Status AdoptDecision(LocalState &local);
 
   /// Entry-array capacity for a table that will hold one partition of
   /// `rows` materialized rows (phase 2 and early compaction), with up to
@@ -237,9 +213,6 @@ class PhysicalHashAggregate : public DataSink {
   Status AggregateInPlace(GroupedAggregateHashTable &ht,
                           TupleDataCollection &source, DataSink &output,
                           TaskExecutor &executor);
-
-  /// Folds one finished thread table's data into global_data_.
-  void PushGlobalData(GroupedAggregateHashTable &table) SSAGG_REQUIRES(lock_);
 
   BufferManager &buffer_manager_;
   std::vector<LogicalTypeId> input_types_;

@@ -28,9 +28,6 @@ void AddAggregateStats(const HashAggregateStats &stats,
   profile.AddCounter("agg.ht_resizes", stats.ht.resizes);
   profile.AddCounter("agg.ht_probe_rounds", stats.ht.probe_rounds);
   profile.AddCounter("agg.ht_prefetches", stats.ht.prefetches);
-  profile.AddCounter("agg.ht_vectorized_compares",
-                     stats.ht.vectorized_compares);
-  profile.AddCounter("agg.ht_scalar_compares", stats.ht.scalar_compares);
   profile.AddTiming("agg.phase1_seconds", stats.phase1_seconds);
   profile.AddTiming("agg.phase2_seconds", stats.phase2_seconds);
   // Planner decision (DESIGN.md section 11). Strategies are recorded as
@@ -41,7 +38,10 @@ void AddAggregateStats(const HashAggregateStats &stats,
     profile.AddCounter("agg.advised_strategy",
                        static_cast<idx_t>(stats.planner.advised));
     profile.AddCounter("agg.planner_forced", stats.planner.forced ? 1 : 0);
-    profile.AddCounter("agg.planner_demoted", stats.planner_demoted ? 1 : 0);
+    // No plan demotes any more. The benchmark ledger still reads this name
+    // for its core.planner_demoted metric, and its smoke run fails on a
+    // metric that is missing, so it stays 0 until the ledger drops it.
+    profile.AddCounter("agg.planner_demoted", 0);
     profile.AddCounter("agg.estimated_groups", stats.planner.estimated_groups);
     profile.AddCounter("agg.sampled_rows", stats.planner.sampled_rows);
     profile.AddCounter("agg.planner_threads", stats.planner.threads);

@@ -61,10 +61,6 @@ class PartitionedTupleData {
   Status Append(const DataChunk &input, const hash_t *hashes, const idx_t *sel,
                 idx_t count, data_ptr_t *row_ptrs_out);
 
-  /// Appends a single input row; returns its address. Used by the
-  /// hash-table insert path.
-  Result<data_ptr_t> AppendRow(const DataChunk &input, hash_t hash, idx_t row);
-
   /// Releases the append pins of all partitions: the pages become eviction
   /// candidates (called when the thread-local hash table is reset).
   void ReleaseAppendPins() {

@@ -43,8 +43,7 @@ namespace ssagg {
 /// Dumps are written as Chrome-trace JSON files into the directory given by
 /// SSAGG_FLIGHT_DUMP (or SetDumpDirectory); with no directory configured,
 /// DumpAnomaly is a cheap no-op, so instrumented anomaly sites (query error
-/// Status, planner demotion, injected fault, SIGUSR1) can call it
-/// unconditionally.
+/// Status, injected fault, SIGUSR1) can call it unconditionally.
 class FlightRecorder {
  public:
   /// Events retained per thread (384 KiB of ring once full).

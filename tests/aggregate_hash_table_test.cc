@@ -638,26 +638,138 @@ TEST_F(AggregateHashTableTest, MidChunkPointerTableResetWithDuplicates) {
   EXPECT_EQ(ScanSumCount(*ht), reference);
 }
 
-// The scalar row-at-a-time path and the vectorized pipeline must produce
-// bit-identical aggregation results over randomized chunks — including
-// NULL keys, mid-stream resets (non-resizable) and resizes (resizable).
-TEST_F(AggregateHashTableTest, ScalarVsVectorizedEquivalenceRandomized) {
+// Presize rebuilds the entry array at the new capacity with every group it
+// held: the same keys are found again, not materialized a second time, and
+// the rebuild is not counted as a resize. A denied allocation leaves the
+// table as it was.
+TEST_F(AggregateHashTableTest, PresizeRehomesGroupsWithoutAResize) {
+  FaultInjector injector({.fail_at = 0, .site_mask = kFaultMemorySites});
+  BufferManager bm(temp_dir_, 256 * kPageSize);
+  bm.SetFaultInjector(&injector);
+  auto config = SmallConfig();
+  config.capacity = 256;
+  auto ht = GroupedAggregateHashTable::Create(
+                bm, InputTypes(), {0},
+                {{AggregateKind::kSum, 1},
+                 {AggregateKind::kCountStar, kInvalidIndex}},
+                config)
+                .MoveValue();
+  std::vector<int64_t> keys(kVectorSize);
+  std::vector<double> vals(kVectorSize);
+  std::map<GroupKey, std::pair<double, int64_t>> reference;
+  for (idx_t i = 0; i < kVectorSize; i++) {
+    keys[i] = static_cast<int64_t>(i % 100);
+    vals[i] = static_cast<double>(i);
+    auto &slot = reference[keys[i]];
+    slot.first += 2 * vals[i];  // the chunk goes in twice
+    slot.second += 2;
+  }
+  DataChunk input(InputTypes());
+  FillInput(input, keys, vals);
+  ASSERT_TRUE(ht->AddChunk(input).ok());
+  injector.Reset({.fail_at = 1, .site_mask = kFaultMemorySites});
+  auto denied = ht->Presize(4096, 0, 0);
+  EXPECT_EQ(denied.code(), StatusCode::kOutOfMemory);
+  EXPECT_EQ(ht->Capacity(), 256u);
+  EXPECT_EQ(ht->Count(), 100u);
+  injector.Reset({.fail_at = 0, .site_mask = kFaultMemorySites});
+  ASSERT_TRUE(ht->Presize(4096, 0, 0).ok());
+  EXPECT_EQ(ht->Capacity(), 4096u);
+  EXPECT_EQ(ht->Count(), 100u);
+  ASSERT_TRUE(ht->AddChunk(input).ok());
+  EXPECT_EQ(ht->Count(), 100u);
+  EXPECT_EQ(ht->stats().inserts, 100u);
+  EXPECT_EQ(ht->data().Count(), 100u);
+  EXPECT_EQ(ht->stats().resizes, 0u);
+  EXPECT_EQ(ht->stats().resets, 0u);
+  EXPECT_EQ(ScanSumCount(*ht), reference);
+}
+
+// A central table (presized, direct index armed) that resets in the middle
+// of a chunk must drop its pointer cache there: a cache backfilled with the
+// rows resolved before the reset would point into pages whose pins the
+// reset released, and a tight pool evicts those pages. The cache serves
+// rows before the reset, and the sums stay exact at every limit.
+TEST_F(AggregateHashTableTest, DirectIndexDroppedAtMidChunkReset) {
+  constexpr idx_t kCachedKeys = 64;  // the cache's window: keys [0, 64)
+  for (idx_t pages : {idx_t{1024}, idx_t{8}}) {
+    SCOPED_TRACE("pages=" + std::to_string(pages));
+    BufferManager bm(temp_dir_, pages * kPageSize);
+    auto config = SmallConfig();
+    config.radix_bits = 0;  // one partition, so its first page fills
+    // Wide rows with out-of-line payloads: a page holds fewer rows than the
+    // table takes before its reset.
+    auto ht = GroupedAggregateHashTable::Create(
+                  bm, InputTypes(), {0},
+                  {{AggregateKind::kSum, 1},
+                   {AggregateKind::kCountStar, kInvalidIndex},
+                   {AggregateKind::kAnyValue, 2},
+                   {AggregateKind::kMin, 1},
+                   {AggregateKind::kMax, 1}},
+                  config)
+                  .MoveValue();
+    ASSERT_TRUE(ht->Presize(8192, 0, kCachedKeys).ok());  // resets at 5461
+
+    std::map<GroupKey, std::pair<double, int64_t>> reference;
+    DataChunk input(InputTypes());
+    int64_t next_new_key = 1000;
+    // One chunk: `cached` rows of keys in the window, then new groups.
+    auto feed = [&](idx_t cached) {
+      std::vector<int64_t> keys(kVectorSize);
+      std::vector<double> vals(kVectorSize);
+      for (idx_t i = 0; i < kVectorSize; i++) {
+        keys[i] = i < cached ? static_cast<int64_t>(i % kCachedKeys)
+                             : next_new_key++;
+        vals[i] = static_cast<double>(i % 7);
+        auto &slot = reference[keys[i]];
+        slot.first += vals[i];
+        slot.second++;
+      }
+      FillInput(input, keys, vals);
+      return ht->AddChunk(input);
+    };
+    // The first chunk fills the cache, the second is served from it.
+    ASSERT_TRUE(feed(kVectorSize).ok());
+    ASSERT_TRUE(feed(kVectorSize).ok());
+    EXPECT_EQ(ht->stats().direct_hit_rows, kVectorSize);
+    // 64 + 4,096 groups, then the cached keys lead a chunk whose new groups
+    // reach the reset threshold after they were resolved.
+    ASSERT_TRUE(feed(0).ok());
+    ASSERT_TRUE(feed(0).ok());
+    EXPECT_EQ(ht->stats().resets, 0u);
+    ASSERT_TRUE(feed(kCachedKeys).ok());
+    EXPECT_EQ(ht->stats().resets, 1u);
+    // New groups only, so that a tight pool evicts what the reset unpinned;
+    // then the cached keys again, which must not reach those rows.
+    for (int c = 0; c < 6; c++) {
+      ASSERT_TRUE(feed(0).ok());
+    }
+    for (int c = 0; c < 4; c++) {
+      ASSERT_TRUE(feed(kVectorSize).ok());
+    }
+    EXPECT_EQ(ht->stats().direct_hit_rows, kVectorSize);
+    if (pages < 64) {
+      EXPECT_GT(bm.temp_files().UsedSlots(), 0u) << "nothing was evicted";
+    }
+    EXPECT_EQ(ScanSumCount(*ht), reference);
+  }
+}
+
+// The probe pipeline must match a std::map reference over randomized chunks
+// — including NULL keys, mid-stream resets (non-resizable) and resizes
+// (resizable).
+TEST_F(AggregateHashTableTest, ProbeMatchesReferenceRandomized) {
   for (bool resizable : {false, true}) {
     BufferManager bm(temp_dir_, 1024 * kPageSize);
-    auto make_ht = [&](bool vectorized) {
-      auto config = SmallConfig();
-      config.capacity = resizable ? 64 : 256;
-      config.resizable = resizable;
-      config.vectorized_probe = vectorized;
-      return GroupedAggregateHashTable::Create(
-                 bm, InputTypes(), {0},
-                 {{AggregateKind::kSum, 1},
-                  {AggregateKind::kCountStar, kInvalidIndex}},
-                 config)
-          .MoveValue();
-    };
-    auto scalar_ht = make_ht(false);
-    auto vector_ht = make_ht(true);
+    auto config = SmallConfig();
+    config.capacity = resizable ? 64 : 256;
+    config.resizable = resizable;
+    auto ht = GroupedAggregateHashTable::Create(
+                  bm, InputTypes(), {0},
+                  {{AggregateKind::kSum, 1},
+                   {AggregateKind::kCountStar, kInvalidIndex}},
+                  config)
+                  .MoveValue();
     RandomEngine rng(99);
     std::map<GroupKey, std::pair<double, int64_t>> reference;
     DataChunk input(InputTypes());
@@ -681,48 +793,28 @@ TEST_F(AggregateHashTableTest, ScalarVsVectorizedEquivalenceRandomized) {
         slot.first += vals[i];
         slot.second++;
       }
-      ASSERT_TRUE(scalar_ht->AddChunk(input).ok());
-      ASSERT_TRUE(vector_ht->AddChunk(input).ok());
-      if (!resizable && scalar_ht->NeedsReset()) {
-        scalar_ht->ClearPointerTable();
-      }
-      if (!resizable && vector_ht->NeedsReset()) {
-        vector_ht->ClearPointerTable();
+      ASSERT_TRUE(ht->AddChunk(input).ok());
+      if (!resizable && ht->NeedsReset()) {
+        ht->ClearPointerTable();
       }
     }
-    // The two paths discover groups in the same order: identical counts,
-    // identical materialized rows, and each used only its own compare kind.
-    EXPECT_EQ(scalar_ht->Count(), vector_ht->Count());
-    EXPECT_EQ(scalar_ht->data().Count(), vector_ht->data().Count());
-    EXPECT_EQ(scalar_ht->stats().inserts, vector_ht->stats().inserts);
-    EXPECT_EQ(scalar_ht->stats().vectorized_compares, 0u);
-    EXPECT_EQ(vector_ht->stats().scalar_compares, 0u);
-    EXPECT_GT(vector_ht->stats().probe_rounds, 0u);
-    auto scalar_results = ScanSumCount(*scalar_ht);
-    EXPECT_EQ(scalar_results, ScanSumCount(*vector_ht));
-    EXPECT_EQ(scalar_results, reference);
+    EXPECT_GT(ht->stats().probe_rounds, 0u);
+    if (resizable) {
+      EXPECT_GT(ht->stats().resizes, 0u);
+    } else {
+      EXPECT_GT(ht->stats().resets, 0u);
+    }
+    EXPECT_EQ(ScanSumCount(*ht), reference);
   }
 }
 
-// Equivalence on the phase-2 path: merging materialized source rows via
-// CombineSourceChunk must agree between the scalar and vectorized probes.
-TEST_F(AggregateHashTableTest, ScalarVsVectorizedCombineEquivalence) {
+// The phase-2 path: merging materialized source rows via CombineSourceChunk
+// must give the sources' own per-key totals.
+TEST_F(AggregateHashTableTest, CombineSourceChunkMatchesPhase1Totals) {
   BufferManager bm(temp_dir_, 1024 * kPageSize);
   auto make_source = [&]() {
     auto config = SmallConfig();
     config.capacity = 256;
-    return GroupedAggregateHashTable::Create(
-               bm, InputTypes(), {0},
-               {{AggregateKind::kSum, 1},
-                {AggregateKind::kCountStar, kInvalidIndex}},
-               config)
-        .MoveValue();
-  };
-  auto make_target = [&](bool vectorized) {
-    auto config = SmallConfig();
-    config.capacity = 64;
-    config.resizable = true;
-    config.vectorized_probe = vectorized;
     return GroupedAggregateHashTable::Create(
                bm, InputTypes(), {0},
                {{AggregateKind::kSum, 1},
@@ -750,46 +842,48 @@ TEST_F(AggregateHashTableTest, ScalarVsVectorizedCombineEquivalence) {
       src->ClearPointerTable();
     }
   }
-  auto scalar_target = make_target(false);
-  auto vector_target = make_target(true);
+  auto config = SmallConfig();
+  config.capacity = 64;
+  config.resizable = true;
+  auto target = GroupedAggregateHashTable::Create(
+                    bm, InputTypes(), {0},
+                    {{AggregateKind::kSum, 1},
+                     {AggregateKind::kCountStar, kInvalidIndex}},
+                    config)
+                    .MoveValue();
   DataChunk layout_chunk(src1->layout().Types());
   std::vector<data_ptr_t> ptrs(kVectorSize);
   for (auto *src : {src1.get(), src2.get()}) {
     for (idx_t p = 0; p < src->data().PartitionCount(); p++) {
-      for (auto *target : {scalar_target.get(), vector_target.get()}) {
-        TupleDataScanState scan;
-        src->data().partition(p).InitScan(scan);
-        while (true) {
-          auto more =
-              src->data().partition(p).Scan(scan, layout_chunk, ptrs.data());
-          ASSERT_TRUE(more.ok());
-          if (!more.value()) {
-            break;
-          }
-          ASSERT_TRUE(
-              target->CombineSourceChunk(layout_chunk, ptrs.data()).ok());
+      TupleDataScanState scan;
+      src->data().partition(p).InitScan(scan);
+      while (true) {
+        auto more =
+            src->data().partition(p).Scan(scan, layout_chunk, ptrs.data());
+        ASSERT_TRUE(more.ok());
+        if (!more.value()) {
+          break;
         }
+        ASSERT_TRUE(
+            target->CombineSourceChunk(layout_chunk, ptrs.data()).ok());
       }
     }
   }
-  EXPECT_EQ(scalar_target->Count(), vector_target->Count());
-  auto scalar_results = ScanSumCount(*scalar_target);
-  EXPECT_EQ(scalar_results, ScanSumCount(*vector_target));
-  // Cross-check against the direct phase-1 totals.
+  // The direct phase-1 totals, summed across both sources.
   auto direct = ScanSumCount(*src1);
   for (auto &[key, sum_count] : ScanSumCount(*src2)) {
     auto &slot = direct[key];
     slot.first += sum_count.first;
     slot.second += sum_count.second;
   }
-  EXPECT_EQ(scalar_results, direct);
+  EXPECT_EQ(target->Count(), direct.size());
+  EXPECT_EQ(ScanSumCount(*target), direct);
 }
 
-// Both probe paths under denied allocations: every k-th memory denial must
-// surface as a clean kOutOfMemory with nothing pinned or charged, and a
-// fault-free rerun on either path must still match the unpressured
-// reference exactly.
-TEST_F(AggregateHashTableTest, ScalarVsVectorizedUnderAllocationPressure) {
+// The probe under denied allocations: every k-th memory denial must surface
+// as a clean kOutOfMemory with nothing pinned or charged, and a fault-free
+// rerun must still match the unpressured reference exactly.
+TEST_F(AggregateHashTableTest, ProbeUnderAllocationPressureFailsCleanly) {
   constexpr int kChunks = 6;
   constexpr idx_t kKeyRange = 300;
   // One deterministic input stream, reused for every run.
@@ -809,9 +903,9 @@ TEST_F(AggregateHashTableTest, ScalarVsVectorizedUnderAllocationPressure) {
     }
   }
 
-  // Runs the whole aggregation on one probe path; returns the first error
-  // or fills `out` on success. Checks the buffer pool unwound either way.
-  auto run = [&](bool vectorized, FaultInjector *injector,
+  // Runs the whole aggregation; returns the first error or fills `out` on
+  // success. Checks the buffer pool unwound either way.
+  auto run = [&](FaultInjector *injector,
                  std::map<GroupKey, std::pair<double, int64_t>> *out) {
     Status status = Status::OK();
     BufferManager bm(temp_dir_, 1024 * kPageSize);
@@ -822,7 +916,6 @@ TEST_F(AggregateHashTableTest, ScalarVsVectorizedUnderAllocationPressure) {
       auto config = SmallConfig();
       config.capacity = 64;
       config.resizable = true;
-      config.vectorized_probe = vectorized;
       auto ht_res = GroupedAggregateHashTable::Create(
           bm, InputTypes(), {0},
           {{AggregateKind::kSum, 1},
@@ -848,37 +941,33 @@ TEST_F(AggregateHashTableTest, ScalarVsVectorizedUnderAllocationPressure) {
     return status;
   };
 
-  for (bool vectorized : {false, true}) {
-    SCOPED_TRACE(vectorized ? "vectorized probe" : "scalar probe");
-    // Learning run: armed but never firing, to count memory operations.
-    FaultInjector injector(
-        {.fail_at = 0, .site_mask = kFaultMemorySites});
-    std::map<GroupKey, std::pair<double, int64_t>> healthy;
-    ASSERT_TRUE(run(vectorized, &injector, &healthy).ok());
-    EXPECT_EQ(healthy, reference);
-    // Recount without the result scan: the sweep runs below skip it, so
-    // fail_at must index the build-only operation sequence.
-    injector.Reset({.fail_at = 0, .site_mask = kFaultMemorySites});
-    ASSERT_TRUE(run(vectorized, &injector, nullptr).ok());
-    const idx_t total_ops = injector.ops_seen();
-    ASSERT_GT(total_ops, 0u);
+  // Learning run: armed but never firing, to count memory operations.
+  FaultInjector injector({.fail_at = 0, .site_mask = kFaultMemorySites});
+  std::map<GroupKey, std::pair<double, int64_t>> healthy;
+  ASSERT_TRUE(run(&injector, &healthy).ok());
+  EXPECT_EQ(healthy, reference);
+  // Recount without the result scan: the sweep runs below skip it, so
+  // fail_at must index the build-only operation sequence.
+  injector.Reset({.fail_at = 0, .site_mask = kFaultMemorySites});
+  ASSERT_TRUE(run(&injector, nullptr).ok());
+  const idx_t total_ops = injector.ops_seen();
+  ASSERT_GT(total_ops, 0u);
 
-    // Deny the k-th memory operation across the range.
-    const idx_t stride = std::max<idx_t>(1, total_ops / 48);
-    for (idx_t k = 1; k <= total_ops; k += stride) {
-      injector.Reset({.fail_at = k, .site_mask = kFaultMemorySites});
-      auto status = run(vectorized, &injector, nullptr);
-      ASSERT_EQ(injector.faults_injected(), 1u) << "fail_at=" << k;
-      ASSERT_FALSE(status.ok()) << "fail_at=" << k;
-      EXPECT_EQ(status.code(), StatusCode::kOutOfMemory) << "fail_at=" << k;
-    }
-
-    // Disarmed rerun through the same injector: back to exact results.
-    injector.Reset({.fail_at = 0, .site_mask = kFaultMemorySites});
-    std::map<GroupKey, std::pair<double, int64_t>> recovered;
-    ASSERT_TRUE(run(vectorized, &injector, &recovered).ok());
-    EXPECT_EQ(recovered, reference);
+  // Deny the k-th memory operation across the range.
+  const idx_t stride = std::max<idx_t>(1, total_ops / 48);
+  for (idx_t k = 1; k <= total_ops; k += stride) {
+    injector.Reset({.fail_at = k, .site_mask = kFaultMemorySites});
+    auto status = run(&injector, nullptr);
+    ASSERT_EQ(injector.faults_injected(), 1u) << "fail_at=" << k;
+    ASSERT_FALSE(status.ok()) << "fail_at=" << k;
+    EXPECT_EQ(status.code(), StatusCode::kOutOfMemory) << "fail_at=" << k;
   }
+
+  // Disarmed rerun through the same injector: back to exact results.
+  injector.Reset({.fail_at = 0, .site_mask = kFaultMemorySites});
+  std::map<GroupKey, std::pair<double, int64_t>> recovered;
+  ASSERT_TRUE(run(&injector, &recovered).ok());
+  EXPECT_EQ(recovered, reference);
 }
 
 /// One group as phase 2 emits it: the finalized output row and the raw
@@ -1028,13 +1117,11 @@ std::unique_ptr<GroupedAggregateHashTable> MakePhase1Source(
 }
 
 std::unique_ptr<GroupedAggregateHashTable> MakePhase2Table(BufferManager &bm,
-                                                           idx_t capacity,
-                                                           bool vectorized) {
+                                                           idx_t capacity) {
   auto config = SmallConfig();
   config.capacity = capacity;
   config.radix_bits = 0;
   config.resizable = true;
-  config.vectorized_probe = vectorized;
   return GroupedAggregateHashTable::Create(bm, InputTypes(), {0},
                                            kAllAggregates, config)
       .MoveValue();
@@ -1042,39 +1129,36 @@ std::unique_ptr<GroupedAggregateHashTable> MakePhase2Table(BufferManager &bm,
 
 // Phase 2 in place must give exactly what the copy path gives: the same
 // groups (the NULL group included), in the same first-occurrence order,
-// with the same states and the first row's ANY_VALUE, on both probe paths.
+// with the same states and the first row's ANY_VALUE.
 TEST_F(AggregateHashTableTest, InPlaceMatchesCopyPathRandomized) {
   BufferManager bm(temp_dir_, 1024 * kPageSize);
   constexpr int kChunks = 6;
   constexpr idx_t kKeyRange = 600;
-  for (bool vectorized : {false, true}) {
-    SCOPED_TRACE(vectorized ? "vectorized probe" : "scalar probe");
-    // In place mutates its source rows, so each path gets its own copy of
-    // the same input.
-    auto copy_source = MakePhase1Source(bm, 77, kChunks, kKeyRange);
-    auto in_place_source = MakePhase1Source(bm, 77, kChunks, kKeyRange);
-    TupleDataCollection &copy_rows = copy_source->data().partition(0);
-    TupleDataCollection &in_place_rows = in_place_source->data().partition(0);
-    ASSERT_EQ(copy_rows.Count(), in_place_rows.Count());
-    ASSERT_GT(copy_rows.Count(), 2 * kKeyRange) << "phase 2 must see repeats";
+  // In place mutates its source rows, so each path gets its own copy of the
+  // same input.
+  auto copy_source = MakePhase1Source(bm, 77, kChunks, kKeyRange);
+  auto in_place_source = MakePhase1Source(bm, 77, kChunks, kKeyRange);
+  TupleDataCollection &copy_rows = copy_source->data().partition(0);
+  TupleDataCollection &in_place_rows = in_place_source->data().partition(0);
+  ASSERT_EQ(copy_rows.Count(), in_place_rows.Count());
+  ASSERT_GT(copy_rows.Count(), 2 * kKeyRange) << "phase 2 must see repeats";
 
-    auto copy_table = MakePhase2Table(bm, 4096, vectorized);
-    auto in_place_table = MakePhase2Table(bm, 4096, vectorized);
-    auto copied = GroupByCopy(*copy_table, copy_rows);
-    auto grouped = GroupInPlace(*in_place_table, in_place_rows);
-    EXPECT_EQ(in_place_table->data().Count(), 0u)
-        << "an in-place table materializes nothing";
-    EXPECT_EQ(bm.PinnedBufferCount(), 0u);
+  auto copy_table = MakePhase2Table(bm, 4096);
+  auto in_place_table = MakePhase2Table(bm, 4096);
+  auto copied = GroupByCopy(*copy_table, copy_rows);
+  auto grouped = GroupInPlace(*in_place_table, in_place_rows);
+  EXPECT_EQ(in_place_table->data().Count(), 0u)
+      << "an in-place table materializes nothing";
+  EXPECT_EQ(bm.PinnedBufferCount(), 0u);
 
-    ASSERT_EQ(copied.size(), kKeyRange + 1);  // every key, and NULL
-    EXPECT_EQ(grouped.size(), copied.size());
-    EXPECT_TRUE(grouped == copied);
-    bool saw_null = false;
-    for (const auto &group : grouped) {
-      saw_null = saw_null || group.output[0].IsNull();
-    }
-    EXPECT_TRUE(saw_null);
+  ASSERT_EQ(copied.size(), kKeyRange + 1);  // every key, and NULL
+  EXPECT_EQ(grouped.size(), copied.size());
+  EXPECT_TRUE(grouped == copied);
+  bool saw_null = false;
+  for (const auto &group : grouped) {
+    saw_null = saw_null || group.output[0].IsNull();
   }
+  EXPECT_TRUE(saw_null);
 }
 
 // An in-place table that starts at 1,024 entries and outgrows them while
@@ -1083,42 +1167,39 @@ TEST_F(AggregateHashTableTest, InPlaceResizeMidBuildStaysExact) {
   BufferManager bm(temp_dir_, 1024 * kPageSize);
   constexpr int kChunks = 8;
   constexpr idx_t kKeyRange = 5000;
-  for (bool vectorized : {false, true}) {
-    SCOPED_TRACE(vectorized ? "vectorized probe" : "scalar probe");
-    auto reference_source = MakePhase1Source(bm, 99, kChunks, kKeyRange);
-    auto source = MakePhase1Source(bm, 99, kChunks, kKeyRange);
-    auto reference_table = MakePhase2Table(bm, 16384, vectorized);
-    auto table = MakePhase2Table(bm, 1024, vectorized);
-    auto expected =
-        GroupByCopy(*reference_table, reference_source->data().partition(0));
-    auto grouped = GroupInPlace(*table, source->data().partition(0));
-    EXPECT_EQ(reference_table->stats().resizes, 0u);
-    EXPECT_GT(table->stats().resizes, 0u);
-    EXPECT_GT(expected.size(), 4000u);
-    EXPECT_TRUE(grouped == expected);
+  auto reference_source = MakePhase1Source(bm, 99, kChunks, kKeyRange);
+  auto source = MakePhase1Source(bm, 99, kChunks, kKeyRange);
+  auto reference_table = MakePhase2Table(bm, 16384);
+  auto table = MakePhase2Table(bm, 1024);
+  auto expected =
+      GroupByCopy(*reference_table, reference_source->data().partition(0));
+  auto grouped = GroupInPlace(*table, source->data().partition(0));
+  EXPECT_EQ(reference_table->stats().resizes, 0u);
+  EXPECT_GT(table->stats().resizes, 0u);
+  EXPECT_GT(expected.size(), 4000u);
+  EXPECT_TRUE(grouped == expected);
 
-    // And against the input itself: COUNT(*) per key.
-    std::map<GroupKey, int64_t> counts;
-    RandomEngine rng(99);
-    DataChunk input(InputTypes());
-    for (int c = 0; c < kChunks; c++) {
-      FillRandomInput(input, rng, kKeyRange, c * kVectorSize);
-      for (idx_t i = 0; i < kVectorSize; i++) {
-        GroupKey key;
-        if (input.column(0).validity().RowIsValid(i)) {
-          key = input.column(0).GetValue<int64_t>(i);
-        }
-        counts[key]++;
-      }
-    }
-    ASSERT_EQ(grouped.size(), counts.size());
-    for (const auto &group : grouped) {
+  // And against the input itself: COUNT(*) per key.
+  std::map<GroupKey, int64_t> counts;
+  RandomEngine rng(99);
+  DataChunk input(InputTypes());
+  for (int c = 0; c < kChunks; c++) {
+    FillRandomInput(input, rng, kKeyRange, c * kVectorSize);
+    for (idx_t i = 0; i < kVectorSize; i++) {
       GroupKey key;
-      if (!group.output[0].IsNull()) {
-        key = group.output[0].GetInt64();
+      if (input.column(0).validity().RowIsValid(i)) {
+        key = input.column(0).GetValue<int64_t>(i);
       }
-      EXPECT_EQ(group.output[1].GetInt64(), counts[key]);
+      counts[key]++;
     }
+  }
+  ASSERT_EQ(grouped.size(), counts.size());
+  for (const auto &group : grouped) {
+    GroupKey key;
+    if (!group.output[0].IsNull()) {
+      key = group.output[0].GetInt64();
+    }
+    EXPECT_EQ(group.output[1].GetInt64(), counts[key]);
   }
 }
 

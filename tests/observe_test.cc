@@ -541,9 +541,14 @@ TEST(FlightRecorderTest, QueryErrorDumpsFlightRecording) {
   FlightRecorder &flight = FlightRecorder::Global();
   std::string saved_dir = flight.dump_directory();
   flight.SetDumpDirectory(dir);
+  // The rings are process-global: forget the events of earlier queries in
+  // this process, so every planner.strategy in the dump is this query's.
+  flight.Clear();
 
   // A source that fails mid-stream: RunGroupedAggregation must return the
-  // error AND leave a parseable flight dump behind.
+  // error AND leave a parseable flight dump behind. All 100,000 rows are one
+  // morsel, so one thread reads up to the failure, and the planner has
+  // decided by then (64 keys: the central plan).
   BufferManager bm(temp_dir, 256 * kPageSize);
   TaskExecutor executor(2);
   RangeSource source({LogicalTypeId::kInt64, LogicalTypeId::kInt64}, 100000,
@@ -560,9 +565,11 @@ TEST(FlightRecorderTest, QueryErrorDumpsFlightRecording) {
                      });
   CountingCollector collector;
   QueryProgress progress;
+  HashAggregateConfig config;
+  config.planner_sample_rows = 8192;
   auto stats = RunGroupedAggregation(bm, source, {0},
                                      {{AggregateKind::kSum, 1}}, collector,
-                                     executor, {}, nullptr, &progress);
+                                     executor, config, nullptr, &progress);
   flight.SetDumpDirectory(saved_dir);
   ASSERT_FALSE(stats.ok());
   EXPECT_EQ(progress.Poll().phase, QueryProgress::Phase::kFailed);
@@ -584,6 +591,17 @@ TEST(FlightRecorderTest, QueryErrorDumpsFlightRecording) {
   const Json *events = parsed.value().Find("traceEvents");
   ASSERT_TRUE(events != nullptr && events->IsArray());
   EXPECT_GT(events->elements().size(), 0u);
+  // The dump carries the planner's decision.
+  bool saw_strategy = false;
+  for (const Json &event : events->elements()) {
+    if (event.Find("name")->AsString() == "planner.strategy") {
+      saw_strategy = true;
+      EXPECT_EQ(event.Find("ph")->AsString(), "i");
+      EXPECT_EQ(event.Find("args")->Find("v")->AsUint(),
+                static_cast<uint64_t>(AggregateStrategy::kCentralMerge));
+    }
+  }
+  EXPECT_TRUE(saw_strategy) << "query_error dump lacks planner.strategy";
   std::filesystem::remove_all(dir);
 }
 
@@ -652,79 +670,6 @@ TEST(FlightRecorderTest, OomRejectionRecordsTheRefusedRequest) {
   ASSERT_TRUE(rejection != nullptr) << "no oom_rejection carrying the request";
   EXPECT_EQ(memory_used, 2 * kPageSize);
   EXPECT_EQ(pinned, 2u);
-  std::filesystem::remove_all(dir);
-}
-
-TEST(FlightRecorderTest, DemotionDumpCarriesPlannerDecision) {
-  std::string dir = ::testing::TempDir() + "ssagg_flight_demote_" +
-                    std::to_string(::getpid());
-  std::filesystem::remove_all(dir);
-  ASSERT_TRUE(FileSystem::Default().CreateDirectories(dir).ok());
-  std::string temp_dir = dir + "/pool";
-  ASSERT_TRUE(FileSystem::Default().CreateDirectories(temp_dir).ok());
-
-  FlightRecorder &flight = FlightRecorder::Global();
-  std::string saved_dir = flight.dump_directory();
-  flight.SetDumpDirectory(dir);
-  // The rings are process-global: forget the events of earlier queries in
-  // this process, so every planner.strategy in the dump is this query's.
-  flight.Clear();
-
-  // The planner's first sample window sees only 16 keys, so it commits to a
-  // central merge; afterwards the keyspace explodes and it demotes. One
-  // thread keeps the sample window inside the 16-key prefix.
-  constexpr idx_t kTotal = 400000;
-  BufferManager bm(temp_dir, 2048 * kPageSize);
-  TaskExecutor executor(1);
-  RangeSource source({LogicalTypeId::kInt64, LogicalTypeId::kInt64}, kTotal,
-                     [](DataChunk &chunk, idx_t start, idx_t count) {
-                       for (idx_t i = 0; i < count; i++) {
-                         idx_t row = start + i;
-                         int64_t key =
-                             row < 65536
-                                 ? static_cast<int64_t>(row % 16)
-                                 : static_cast<int64_t>(HashUint64(row) %
-                                                        150000);
-                         chunk.column(0).SetValue<int64_t>(i, key);
-                         chunk.column(1).SetValue<int64_t>(i, 1);
-                       }
-                       return Status::OK();
-                     });
-  CountingCollector collector;
-  HashAggregateConfig config;
-  config.phase1_capacity = 1024;
-  config.radix_bits = 3;
-  config.planner_sample_rows = 8192;
-  auto stats = RunGroupedAggregation(bm, source, {0},
-                                     {{AggregateKind::kSum, 1}}, collector,
-                                     executor, config);
-  flight.SetDumpDirectory(saved_dir);
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  ASSERT_TRUE(stats.value().planner_demoted);
-
-  // The demotion dump must show the decision it abandons.
-  std::string demotion_dump;
-  for (const auto &entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.path().filename().string().find("demotion") !=
-        std::string::npos) {
-      demotion_dump = entry.path().string();
-    }
-  }
-  ASSERT_FALSE(demotion_dump.empty()) << "no demotion dump written";
-  auto contents = ReadWholeFile(demotion_dump);
-  ASSERT_TRUE(contents.ok());
-  auto parsed = Json::Parse(contents.value());
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  bool saw_strategy = false;
-  for (const Json &event : parsed.value().Find("traceEvents")->elements()) {
-    if (event.Find("name")->AsString() == "planner.strategy") {
-      saw_strategy = true;
-      EXPECT_EQ(event.Find("ph")->AsString(), "i");
-      EXPECT_EQ(event.Find("args")->Find("v")->AsUint(),
-                static_cast<uint64_t>(stats.value().planner.strategy));
-    }
-  }
-  EXPECT_TRUE(saw_strategy) << "demotion dump lacks planner.strategy";
   std::filesystem::remove_all(dir);
 }
 

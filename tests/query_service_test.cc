@@ -446,27 +446,19 @@ TEST_F(QueryServiceTest, ShedsWithTimeoutWhenAdmissionTakesTooLong) {
 
 // Every query's result under maximum concurrency and tight per-query
 // grants must be bit-identical to its solo run with the full pool — across
-// the forced merge strategies and both probe paths. Spilling more because
-// a neighbour holds the memory is allowed; answering differently is not.
-struct IsolationParams {
-  AggregateStrategy strategy;
-  bool vectorized_probe;
-};
-
+// the forced merge strategies. Spilling more because a neighbour holds the
+// memory is allowed; answering differently is not.
 class IsolationEquivalenceTest
     : public QueryServiceTest,
-      public ::testing::WithParamInterface<IsolationParams> {};
+      public ::testing::WithParamInterface<AggregateStrategy> {};
 
 TEST_P(IsolationEquivalenceTest, ConcurrentTightGrantsMatchSoloRuns) {
   constexpr idx_t kQueries = 4;
   constexpr idx_t kRows = 30000;
   // Per-query distinct group counts — different shapes, some spilling.
   constexpr idx_t kGroupCounts[kQueries] = {16, 600, 4000, 15000};
-  const IsolationParams params = GetParam();
-
   HashAggregateConfig config;
-  config.strategy = params.strategy;
-  config.vectorized_probe = params.vectorized_probe;
+  config.strategy = GetParam();
   // Pinned floor: kQueries * 2 workers * 2^radix_bits append pages must fit
   // the concurrent pool (see concurrency_stress_test.cc) — radix_bits=2
   // keeps it at 32 of 48 pages.
@@ -534,16 +526,11 @@ TEST_P(IsolationEquivalenceTest, ConcurrentTightGrantsMatchSoloRuns) {
 
 INSTANTIATE_TEST_SUITE_P(
     Strategies, IsolationEquivalenceTest,
-    ::testing::Values(IsolationParams{AggregateStrategy::kAdaptive, true},
-                      IsolationParams{AggregateStrategy::kCentralMerge, true},
-                      IsolationParams{AggregateStrategy::kCentralMerge, false},
-                      IsolationParams{AggregateStrategy::kRadixMerge, true},
-                      IsolationParams{AggregateStrategy::kRadixMerge, false},
-                      IsolationParams{AggregateStrategy::kAdaptive, false}),
-    [](const ::testing::TestParamInfo<IsolationParams> &info) {
-      std::string name = AggregateStrategyName(info.param.strategy);
-      name += info.param.vectorized_probe ? "_vectorized" : "_scalar";
-      return name;
+    ::testing::Values(AggregateStrategy::kAdaptive,
+                      AggregateStrategy::kCentralMerge,
+                      AggregateStrategy::kRadixMerge),
+    [](const ::testing::TestParamInfo<AggregateStrategy> &info) {
+      return std::string(AggregateStrategyName(info.param));
     });
 
 //===----------------------------------------------------------------------===//

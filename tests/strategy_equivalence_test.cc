@@ -1,10 +1,9 @@
 // Strategy equivalence and robustness (DESIGN.md section 11): every
 // strategy the adaptive planner can pick — central, radix, and the adaptive
-// selection itself — must produce identical results, under both probe
-// pipelines, at 2 and 4 threads and under spill-forcing memory limits, on
-// mixed input and on unique input (where the radix plan skips the phase-1
-// lookups); and
-// the central plan (its transition, and its thread tables joining the
+// selection itself — must produce identical results at 2 and 4 threads and
+// under spill-forcing memory limits, on mixed input and on unique input
+// (where the radix plan skips the phase-1 lookups); and the central plan
+// (its tables sized at the decision, and their partitions joining the
 // partition-wise phase 2) must degrade to a clean Status (no leaked pins,
 // temp slots, or memory charges) when any I/O or allocation fails.
 
@@ -14,6 +13,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -150,7 +150,7 @@ std::vector<std::string> CanonicalRows(const MaterializedCollector &collector) {
 }
 
 //===----------------------------------------------------------------------===//
-// Equivalence across strategies x probe pipeline x memory limit
+// Equivalence across strategies x memory limit x threads
 //===----------------------------------------------------------------------===//
 
 class StrategyEquivalenceTest : public ::testing::Test {
@@ -166,9 +166,8 @@ class StrategyEquivalenceTest : public ::testing::Test {
     HashAggregateStats stats;
   };
 
-  RunOutput Run(AggregateStrategy strategy, bool vectorized,
-                idx_t memory_pages, idx_t threads = 2,
-                Pipeline pipeline = Pipeline::kMixed) {
+  RunOutput Run(AggregateStrategy strategy, idx_t memory_pages,
+                idx_t threads = 2, Pipeline pipeline = Pipeline::kMixed) {
     BufferManager bm(temp_dir_, memory_pages * kPageSize);
     TaskExecutor executor(threads);
     const bool unique = pipeline == Pipeline::kUnique;
@@ -179,7 +178,6 @@ class StrategyEquivalenceTest : public ::testing::Test {
     config.phase1_capacity = 1024;  // small: resets + transitions happen
     config.radix_bits = 3;
     config.strategy = strategy;
-    config.vectorized_probe = vectorized;
     auto stats = RunGroupedAggregation(
         bm, source, unique ? std::vector<idx_t>{0, 2} : std::vector<idx_t>{0},
         unique ? UniqueAggregates() : TestAggregates(), collector, executor,
@@ -202,45 +200,40 @@ class StrategyEquivalenceTest : public ::testing::Test {
 TEST_F(StrategyEquivalenceTest, AllStrategiesAgreeOnAllPipelines) {
   for (Pipeline pipeline : {Pipeline::kMixed, Pipeline::kUnique}) {
     const bool unique = pipeline == Pipeline::kUnique;
-    RunOutput reference =
-        Run(AggregateStrategy::kRadixMerge, /*vectorized=*/true,
-            /*memory_pages=*/2048, /*threads=*/2, pipeline);
+    RunOutput reference = Run(AggregateStrategy::kRadixMerge,
+                              /*memory_pages=*/2048, /*threads=*/2, pipeline);
     ASSERT_GT(reference.rows.size(),
               unique ? kUniqueRows / 2 : kTailGroups / 2);
 
     for (AggregateStrategy strategy :
          {AggregateStrategy::kAdaptive, AggregateStrategy::kCentralMerge,
           AggregateStrategy::kRadixMerge}) {
-      for (bool vectorized : {true, false}) {
-        // Ample memory, then a limit tight enough that the radix plan
-        // spills (the central thread tables must survive the same
-        // pressure).
-        for (idx_t pages : {idx_t{2048}, idx_t{96}}) {
-          // 4 threads is where the cost models once advised a tree merge.
-          for (idx_t threads : {idx_t{2}, idx_t{4}}) {
-            SCOPED_TRACE(std::string("pipeline=") +
-                         (unique ? "unique" : "mixed") + " strategy=" +
-                         AggregateStrategyName(strategy) +
-                         " vectorized=" + (vectorized ? "1" : "0") +
-                         " pages=" + std::to_string(pages) +
-                         " threads=" + std::to_string(threads));
-            RunOutput run = Run(strategy, vectorized, pages, threads, pipeline);
-            EXPECT_EQ(run.rows, reference.rows);
-            EXPECT_TRUE(run.stats.planner_decided);
-            if (strategy != AggregateStrategy::kAdaptive) {
-              EXPECT_TRUE(run.stats.planner.forced);
-              EXPECT_EQ(run.stats.planner.strategy, strategy);
-            }
-            // Unique input: central looks every row up, the radix plan
-            // appends the rows after the sample without a lookup.
-            const bool bypass =
-                unique && strategy != AggregateStrategy::kCentralMerge;
-            EXPECT_EQ(run.stats.planner.phase1_bypass, bypass);
-            if (bypass) {
-              EXPECT_GT(run.stats.phase1_bypassed_rows, 0u);
-            } else {
-              EXPECT_EQ(run.stats.phase1_bypassed_rows, 0u);
-            }
+      // Ample memory, then a limit tight enough that the radix plan spills
+      // (the central thread tables must survive the same pressure).
+      for (idx_t pages : {idx_t{2048}, idx_t{96}}) {
+        // 4 threads is where the cost models once advised a tree merge.
+        for (idx_t threads : {idx_t{2}, idx_t{4}}) {
+          SCOPED_TRACE(std::string("pipeline=") +
+                       (unique ? "unique" : "mixed") + " strategy=" +
+                       AggregateStrategyName(strategy) +
+                       " pages=" + std::to_string(pages) +
+                       " threads=" + std::to_string(threads));
+          RunOutput run = Run(strategy, pages, threads, pipeline);
+          EXPECT_EQ(run.rows, reference.rows);
+          EXPECT_TRUE(run.stats.planner_decided);
+          if (strategy != AggregateStrategy::kAdaptive) {
+            EXPECT_TRUE(run.stats.planner.forced);
+            EXPECT_EQ(run.stats.planner.strategy, strategy);
+          }
+          // Unique input: central looks every row up, the radix plan
+          // appends the rows after the sample without a lookup.
+          const bool bypass =
+              unique && strategy != AggregateStrategy::kCentralMerge;
+          EXPECT_EQ(run.stats.planner.phase1_bypass, bypass);
+          if (bypass) {
+            EXPECT_GT(run.stats.phase1_bypassed_rows, 0u);
+          } else {
+            EXPECT_EQ(run.stats.phase1_bypassed_rows, 0u);
           }
         }
       }
@@ -250,8 +243,7 @@ TEST_F(StrategyEquivalenceTest, AllStrategiesAgreeOnAllPipelines) {
 
 TEST_F(StrategyEquivalenceTest, AdaptivePicksCentralForMidCardinality) {
   // ~5k groups with ample memory: central merge should win the cost race.
-  RunOutput run = Run(AggregateStrategy::kAdaptive, /*vectorized=*/true,
-                      /*memory_pages=*/2048);
+  RunOutput run = Run(AggregateStrategy::kAdaptive, /*memory_pages=*/2048);
   ASSERT_TRUE(run.stats.planner_decided);
   EXPECT_FALSE(run.stats.planner.forced);
   EXPECT_NE(run.stats.planner.strategy, AggregateStrategy::kRadixMerge)
@@ -261,10 +253,11 @@ TEST_F(StrategyEquivalenceTest, AdaptivePicksCentralForMidCardinality) {
   EXPECT_LT(run.stats.planner.estimated_groups, kTailGroups * 8);
 }
 
-TEST_F(StrategyEquivalenceTest, MisestimateDemotesBackToRadixSafely) {
-  // The first sample window sees only 16 keys (the planner commits to a
-  // tiny central-merge table); afterwards the keyspace explodes. The
-  // demotion fallback must kick in and the answer must stay correct.
+TEST_F(StrategyEquivalenceTest, MisestimateResetsCentralTableSafely) {
+  // The first sample window sees only 16 keys (the planner sizes a tiny
+  // central table); afterwards the keyspace explodes. The table must keep
+  // its size and reset at 2/3 fill like any phase-1 table, and the answer
+  // must stay exact.
   constexpr idx_t kTotal = 400000;
   constexpr idx_t kLateKeys = 150000;
   BufferManager bm(temp_dir_, 2048 * kPageSize);
@@ -295,10 +288,18 @@ TEST_F(StrategyEquivalenceTest, MisestimateDemotesBackToRadixSafely) {
                                      {{AggregateKind::kSum, 1}}, collector,
                                      executor, config);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  ASSERT_TRUE(stats.value().planner_decided);
-  // The planner was lured into a thread-local plan, then demoted.
-  EXPECT_NE(stats.value().planner.strategy, AggregateStrategy::kRadixMerge);
-  EXPECT_TRUE(stats.value().planner_demoted);
+  const HashAggregateStats &s = stats.value();
+  ASSERT_TRUE(s.planner_decided);
+  // The planner was lured into the central plan, and its table reset.
+  EXPECT_EQ(s.planner.strategy, AggregateStrategy::kCentralMerge);
+  EXPECT_GT(s.phase1_resets, 0u);
+  // The table never grew: no stretch between resets inserted more groups
+  // than 2/3 of the larger of the sampling and the sized capacity.
+  const auto per_reset = static_cast<idx_t>(
+      static_cast<double>(
+          std::max(config.phase1_capacity, s.planner.local_table_capacity)) *
+      kHashTableResetFillRatio);
+  EXPECT_LE(s.materialized_rows, (s.phase1_resets + 1) * per_reset);
   // Exactness: SUM of all-ones equals the row count; every group present.
   int64_t total = 0;
   for (const auto &row : collector.rows()) {
@@ -374,6 +375,77 @@ TEST_F(StrategyEquivalenceTest, DirectIndexStaysExactWithUnsampledKeys) {
   EXPECT_GT(adaptive.stats.ht.direct_fallback_chunks, 0u);
 }
 
+TEST_F(StrategyEquivalenceTest, DirectIndexStaysExactAcrossMidChunkResets) {
+  // The sample sees keys [0, 64) only, so the central table is sized for
+  // 64 groups and its direct index serves the next chunks. Then each chunk
+  // leads with the 64 cached keys and fills the rest with new groups, so
+  // the table resets in the middle of chunks, after those keys resolved;
+  // the run ends on cached keys alone. The cache must be gone from the
+  // first reset on: its rows' pages are unpinned, and at the tight limit
+  // they are evicted.
+  constexpr idx_t kTotal = 80 * kVectorSize;
+  constexpr idx_t kCachedKeys = 64;
+  auto key_of = [](idx_t row) -> int64_t {
+    const idx_t chunk = row / kVectorSize;
+    const idx_t offset = row % kVectorSize;
+    if (chunk >= 32 && chunk < 48 && offset >= kCachedKeys) {
+      return static_cast<int64_t>(1000000 + row);
+    }
+    return static_cast<int64_t>(offset % kCachedKeys);
+  };
+  std::map<int64_t, std::pair<int64_t, int64_t>> reference;  // sum, count
+  for (idx_t row = 0; row < kTotal; row++) {
+    auto &slot = reference[key_of(row)];
+    slot.first += static_cast<int64_t>(row % 1000);
+    slot.second++;
+  }
+  for (idx_t pages : {idx_t{2048}, idx_t{6}}) {
+    SCOPED_TRACE("pages=" + std::to_string(pages));
+    BufferManager bm(temp_dir_, pages * kPageSize);
+    // One thread: chunks arrive in row order, so the sample is the prefix.
+    TaskExecutor executor(1);
+    RangeSource source(
+        {LogicalTypeId::kInt64, LogicalTypeId::kInt64}, kTotal,
+        [&](DataChunk &chunk, idx_t start, idx_t count) {
+          for (idx_t i = 0; i < count; i++) {
+            chunk.column(0).SetValue<int64_t>(i, key_of(start + i));
+            chunk.column(1).SetValue<int64_t>(
+                i, static_cast<int64_t>((start + i) % 1000));
+          }
+          return Status::OK();
+        });
+    MaterializedCollector collector;
+    HashAggregateConfig config;
+    config.radix_bits = 1;
+    config.phase1_capacity = 1024;
+    config.planner_sample_rows = 8192;
+    config.strategy = AggregateStrategy::kCentralMerge;
+    QueryProfile profile;
+    auto stats = RunGroupedAggregation(
+        bm, source, {0},
+        {{AggregateKind::kSum, 1}, {AggregateKind::kCountStar, kInvalidIndex}},
+        collector, executor, config, &profile);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    const HashAggregateStats &s = stats.value();
+    EXPECT_TRUE(s.planner.direct_index);
+    // The decision comes with chunk 3; chunk 4 fills the cache and chunks
+    // 5 to 31 are served from it. From chunk 33's reset on, nothing is.
+    EXPECT_EQ(s.ht.direct_hit_rows, 27 * kVectorSize);
+    EXPECT_GT(s.phase1_resets, 0u);
+    if (pages < 64) {
+      EXPECT_GT(profile.counters["bm.evictions_temporary_spilled"], 0u)
+          << "nothing was evicted";
+    }
+    std::map<int64_t, std::pair<int64_t, int64_t>> result;
+    for (const auto &row : collector.rows()) {
+      result[row[0].GetInt64()] = {row[1].GetInt64(), row[2].GetInt64()};
+    }
+    EXPECT_EQ(result, reference);
+    EXPECT_EQ(bm.PinnedBufferCount(), 0u);
+    EXPECT_EQ(bm.memory_used(), 0u);
+  }
+}
+
 TEST_F(StrategyEquivalenceTest, DirectIndexDeclinedForSparseKeys) {
   // A few hundred groups, but the keys are full 64-bit hashes: the sampled
   // span exceeds the pointer-cache cap, so the planner must keep the
@@ -407,7 +479,7 @@ TEST_F(StrategyEquivalenceTest, DirectIndexDeclinedForSparseKeys) {
 
 TEST_F(StrategyEquivalenceTest, ForcedStrategyEnvOverrideWins) {
   setenv("SSAGG_AGG_STRATEGY", "radix", 1);
-  RunOutput run = Run(AggregateStrategy::kCentralMerge, /*vectorized=*/true,
+  RunOutput run = Run(AggregateStrategy::kCentralMerge,
                       /*memory_pages=*/2048);
   unsetenv("SSAGG_AGG_STRATEGY");
   ASSERT_TRUE(run.stats.planner_decided);
