@@ -117,11 +117,6 @@ Json SnapshotJson(const BufferManagerSnapshot &snapshot) {
   set("temp_reads", snapshot.temp_reads);
   set("spill_bytes_written", snapshot.spill_bytes_written);
   set("spill_bytes_read", snapshot.spill_bytes_read);
-  set("spill_raw_bytes", snapshot.spill_raw_bytes);
-  set("spill_coalesced_writes", snapshot.spill_coalesced_writes);
-  set("spill_coalesced_pages", snapshot.spill_coalesced_pages);
-  set("prefetch_issued", snapshot.prefetch_issued);
-  set("prefetch_completed", snapshot.prefetch_completed);
   object.Set("spill_write_seconds", Json(snapshot.spill_write_seconds));
   object.Set("spill_read_seconds", Json(snapshot.spill_read_seconds));
   set("spill_slot_reuses", snapshot.spill_slot_reuses);

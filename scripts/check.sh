@@ -20,12 +20,6 @@
 # build log contains any thread-safety diagnostic (belt and braces when the
 # compiler is Clang but SSAGG_THREAD_SAFETY_ANALYSIS was overridden off).
 #
-# The plain build also runs a spill-I/O smoke step: the same spilling query
-# once per I/O backend (sync, threadpool, io_uring) with spill compression
-# on, asserting that every backend spills, that compressed bytes written
-# stay below the raw spill volume, and that the query's result row count is
-# identical across backends.
-#
 # The plain build also runs a strategy smoke step: two canned queries at
 # the planner's cardinality extremes, asserting the adaptive planner picks
 # central thread tables for a handful of groups and the radix plan for ~1M
@@ -70,8 +64,8 @@
 # acquisition aborts the stress/soak tests instead of deadlocking them.
 #
 # Usage: scripts/check.sh
-#   [--asan-only|--plain-only|--tsan-only|--spill-io-only|--strategy-only|
-#    --observe-only|--service-only|--analyze-only]
+#   [--asan-only|--plain-only|--tsan-only|--strategy-only|--observe-only|
+#    --service-only|--analyze-only]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -143,41 +137,6 @@ for tid, spans in by_tid.items():
         stack.append(end)
 print(f"profile smoke ok: {spilled} spill bytes, "
       f"{sum(len(s) for s in by_tid.values())} spans on {len(by_tid)} threads")
-EOF
-  rm -rf "$work"
-}
-
-spill_io_smoke() {
-  local dir="$1"
-  echo "=== spill I/O smoke (backend sweep, compressed < raw) ==="
-  local work
-  work=$(mktemp -d)
-  local backend
-  for backend in sync threadpool io_uring; do
-    # SF 16 wide grouping 13 (all-unique groups) at 64 MiB must spill.
-    (cd "$work" && SSAGG_BENCH_MEMORY_MB=64 SSAGG_BENCH_THREADS=2 \
-        SSAGG_BENCH_TMPDIR="$work/tmp-$backend" \
-        SSAGG_IO_BACKEND="$backend" SSAGG_SPILL_COMPRESSION=1 \
-        "$OLDPWD/$dir/bench/bench_single_query" 16 wide 13 du)
-    mv "$work/results/bench_single_query.json" "$work/$backend.json"
-  done
-  python3 - "$work" <<'EOF'
-import json, sys
-work = sys.argv[1]
-rows = {}
-for backend in ("sync", "threadpool", "io_uring"):
-    with open(f"{work}/{backend}.json") as f:
-        doc = json.load(f)
-    counters = doc["result"]["profile"]["counters"]
-    raw = counters.get("io.spill_raw_bytes", 0)
-    written = counters.get("io.spill_bytes_written", 0)
-    assert raw > 0, f"{backend}: query did not spill: {counters}"
-    assert 0 < written < raw, \
-        f"{backend}: compression did not shrink spill: {written} vs {raw}"
-    rows[backend] = doc["result"]["result_rows"]
-    print(f"spill io smoke ok [{backend}]: {written} written / {raw} raw "
-          f"({written / raw:.2f}x)")
-assert len(set(rows.values())) == 1, f"row counts diverge: {rows}"
 EOF
   rm -rf "$work"
 }
@@ -364,12 +323,6 @@ if [[ "$MODE" == "--service-only" ]]; then
   exit 0
 fi
 
-if [[ "$MODE" == "--spill-io-only" ]]; then
-  spill_io_smoke build
-  echo "all checks passed"
-  exit 0
-fi
-
 if [[ "$MODE" == "--observe-only" ]]; then
   observe_smoke build
   echo "all checks passed"
@@ -386,7 +339,6 @@ if [[ "$MODE" != "--asan-only" && "$MODE" != "--tsan-only" ]]; then
   echo "=== plain build + ctest ==="
   run_build build
   profile_smoke build
-  spill_io_smoke build
   strategy_smoke build
   memory_cell_smoke build
   observe_smoke build

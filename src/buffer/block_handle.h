@@ -29,11 +29,9 @@ enum class BlockKind : uint8_t {
   kTemporaryVariable,
 };
 
-/// kLoading marks a block whose contents are being read back by an
-/// asynchronous prefetch (BufferManager::Prefetch): the buffer is allocated
-/// and owned by the handle but not yet valid. Pin waits on load_cv_; the
-/// eviction scan skips any state but kLoaded.
-enum class BlockState : uint8_t { kUnloaded, kLoading, kLoaded };
+/// Whether a block's contents are resident: Pin loads an unloaded block,
+/// and eviction unloads a loaded, unpinned one.
+enum class BlockState : uint8_t { kUnloaded, kLoaded };
 
 /// Shared state of one buffer-managed block. Operators hold
 /// shared_ptr<BlockHandle> and pin it (obtaining a BufferHandle) whenever
@@ -103,12 +101,6 @@ class BlockHandle : public std::enable_shared_from_this<BlockHandle> {
   /// ownership: the grant may outlive its MemoryGrant (query teardown) while
   /// foreign threads are still evicting this query's pages.
   std::shared_ptr<GrantState> grant_ SSAGG_GUARDED_BY(lock_);
-  /// Signalled when an asynchronous load (state kLoading) finishes.
-  CondVar load_cv_;
-  /// Poison left by a failed asynchronous load: the block kept its spill
-  /// state, and the next Pin returns (and clears) this error — a prefetch
-  /// must never swallow an I/O failure.
-  Status load_error_ SSAGG_GUARDED_BY(lock_);
 };
 
 }  // namespace ssagg

@@ -123,41 +123,13 @@ void NonPagedAllocation::Reset() {
 // BufferManager
 //===----------------------------------------------------------------------===//
 
-BufferManagerOptions BufferManagerOptions::FromEnv() {
-  BufferManagerOptions options;
-  options.io_backend = IoBackendKindFromEnv();
-  options.spill_compression = SpillCompressionFromEnv();
-  return options;
-}
-
-namespace {
-BufferManagerOptions WithPolicy(EvictionPolicy policy) {
-  BufferManagerOptions options = BufferManagerOptions::FromEnv();
-  options.policy = policy;
-  return options;
-}
-}  // namespace
-
 BufferManager::BufferManager(std::string temp_directory, idx_t memory_limit,
                              EvictionPolicy policy, FileSystem &fs)
-    : BufferManager(std::move(temp_directory), memory_limit,
-                    WithPolicy(policy), fs) {}
-
-BufferManager::BufferManager(std::string temp_directory, idx_t memory_limit,
-                             BufferManagerOptions options, FileSystem &fs)
     : temp_directory_(std::move(temp_directory)),
       fs_(fs),
       memory_limit_(memory_limit),
-      io_backend_(CreateIoBackend(options.io_backend, options.io_threads)),
-      spill_batch_(options.spill_batch != 0
-                       ? options.spill_batch
-                       : (io_backend_->kind() == IoBackendKind::kSync ? 1
-                                                                      : 16)),
-      prefetch_enabled_(options.prefetch &&
-                        io_backend_->kind() != IoBackendKind::kSync),
-      temp_files_(temp_directory_, fs, io_backend_.get(),
-                  options.spill_compression),
-      policy_(options.policy) {
+      temp_files_(temp_directory_, fs),
+      policy_(policy) {
   MetricsRegistry &registry = MetricsRegistry::Global();
   key_evict_persistent_ = registry.KeyId("bm.evictions_persistent");
   key_evict_temp_spilled_ = registry.KeyId("bm.evictions_temporary_spilled");
@@ -166,14 +138,14 @@ BufferManager::BufferManager(std::string temp_directory, idx_t memory_limit,
   key_buffer_reuse_ = registry.KeyId("bm.buffer_reuse_hits");
   key_oom_rejections_ = registry.KeyId("bm.oom_rejections");
   key_frame_pool_hits_ = registry.KeyId("bm.frame_pool_hits");
-  hist_pin_wait_ = registry.HistogramId("bm.pin_wait_ns");
   hist_evict_select_ = registry.HistogramId("bm.evict_select_ns");
+  // Pin never waits for a load in flight, so nothing records into this
+  // histogram; it stays registered because bench/ledger/ledger.cc reads its
+  // count and p99 as buffer.pin_waits and buffer.pin_wait_p99_us.
+  (void)registry.HistogramId("bm.pin_wait_ns");
 }
 
 BufferManager::~BufferManager() {
-  // Outstanding prefetch completions hold shared_ptr<BlockHandle> and touch
-  // this manager; none may survive past here.
-  io_backend_->Drain();
   std::vector<data_ptr_t> idle;
   {
     ScopedLock guard(frame_lock_);
@@ -343,11 +315,6 @@ void BufferManager::DischargeLoaded(BlockKind kind, idx_t size) {
   }
 }
 
-// SAFETY: this function manages a *set* of manually try-locked block handles
-// (the spill batch) whose locks are held across the batched write and
-// released one by one afterwards — a pattern scoped capabilities cannot
-// express. Lock order is preserved: block locks are only ever try-locked,
-// and queue_lock_ is a leaf acquired below them.
 void BufferManager::DischargeGrant(BlockHandle &block) {
   if (block.grant_ != nullptr) {
     block.grant_->Discharge(block.size_);
@@ -360,159 +327,24 @@ void BufferManager::DischargeSpillQuota(BlockHandle &block) {
   }
 }
 
+// The candidate's lock_ is try-locked and released by hand on every path
+// below, which scoped capabilities cannot express. Lock order is preserved:
+// block locks are only ever try-locked, and queue_lock_ is a leaf acquired
+// below them.
 Result<std::unique_ptr<FileBuffer>>
 // SAFETY: see the rationale above.
 BufferManager::EvictBlocks(idx_t reuse_size, const GrantState *only_grant)
     SSAGG_NO_THREAD_SAFETY_ANALYSIS {
-  // Lock-holder accounting for the dry-queue back-off below. Only threads
-  // that currently *hold* candidate locks count: a scan that merely pops and
-  // examines entries must not — two concurrent scans that each find nothing
-  // would otherwise see each other "in flight" and retry forever, turning a
-  // genuine out-of-memory condition into a livelock (observed with two
-  // tight-grant queries spilling themselves down simultaneously).
-  idx_t held_locks = 0;
-  auto note_lock = [&]() {
-    if (held_locks++ == 0) {
-      eviction_lock_holders_.fetch_add(1, std::memory_order_acq_rel);
-    }
-  };
-  auto note_unlock = [&]() {
-    SSAGG_DASSERT(held_locks > 0);
-    if (--held_locks == 0) {
-      eviction_lock_holders_.fetch_sub(1, std::memory_order_acq_rel);
-    }
-  };
-  struct HolderGuard {
-    idx_t &held;
-    std::atomic<idx_t> &count;
-    ~HolderGuard() {
-      SSAGG_DASSERT(held == 0);  // every path unlocks before returning
-      if (held > 0) {
-        count.fetch_sub(1, std::memory_order_acq_rel);
-      }
-    }
-  } holder_guard{held_locks, eviction_lock_holders_};
-
   // Victim-selection time: queue scanning and try-lock churn up to the
   // point a decision is made (spill, drop, or give up) — the write itself
   // is excluded; the spill histograms cover that.
   auto select_start = std::chrono::steady_clock::now();
-  bool selection_recorded = false;
   auto record_selection = [&]() {
-    if (selection_recorded) {
-      return;
-    }
-    selection_recorded = true;
     auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                   std::chrono::steady_clock::now() - select_start)
                   .count();
     MetricsRegistry::Global().Record(hist_evict_select_,
                                      static_cast<uint64_t>(ns));
-  };
-
-  // Fixed-size spill candidates whose lock_ this function currently holds.
-  std::vector<std::shared_ptr<BlockHandle>> batch;
-
-  auto enqueue = [this](const std::shared_ptr<BlockHandle> &handle,
-                        uint64_t seq, bool front) {
-    ScopedLock guard(queue_lock_);
-    auto &queue = queues_[QueueIndexLocked(handle->kind())];
-    if (front) {
-      queue.push_front(EvictionEntry{handle->weak_from_this(), seq});
-    } else {
-      queue.push_back(EvictionEntry{handle->weak_from_this(), seq});
-    }
-  };
-
-  // Drops the (locked, spill-complete or free-to-drop) block's buffer,
-  // harvesting the first reuse_size-sized one for the caller.
-  auto finalize = [&](BlockHandle &block, std::unique_ptr<FileBuffer> &result)
-                      // SAFETY: called only while the block's lock_ is held.
-                      SSAGG_NO_THREAD_SAFETY_ANALYSIS {
-    if (!result && block.size_ == reuse_size) {
-      // Hand the buffer to the new allocation; its memory charge transfers.
-      // The evicted query's grant still gets its bytes back: the new
-      // allocation was already charged to its own grant by ReserveMemory.
-      DischargeLoaded(block.kind_, block.size_);
-      DischargeGrant(block);
-      result = std::move(block.buffer_);
-      block.state_ = BlockState::kUnloaded;
-      reused_buffers_.fetch_add(1, std::memory_order_relaxed);
-      MetricsRegistry::Global().Add(key_buffer_reuse_, 1);
-      return;
-    }
-    UnloadBlock(block);
-  };
-
-  // Spills the batch as one overlapped submission. All-or-nothing: if any
-  // member fails, successful members release their slots, every block stays
-  // loaded and is re-enqueued, and the first error propagates.
-  // SAFETY: owns (and releases) the batch members' manually held locks.
-  auto flush = [&]() SSAGG_NO_THREAD_SAFETY_ANALYSIS
-      -> Result<std::unique_ptr<FileBuffer>> {
-    SSAGG_DASSERT(!batch.empty());
-    SSAGG_LOG_DEBUG("spilling batch of %llu temporary pages",
-                    static_cast<unsigned long long>(batch.size()));
-    std::vector<FixedSpillRequest> requests(batch.size());
-    for (idx_t i = 0; i < batch.size(); i++) {
-      requests[i].buffer = batch[i]->buffer_.get();
-      requests[i].grant = batch[i]->grant_.get();
-    }
-    temp_files_.WriteFixedBlocks(requests.data(), requests.size());
-    Status first_error;
-    bool io_failure = false;
-    for (const auto &request : requests) {
-      if (!request.status.ok()) {
-        // Prefer a real I/O error over a quota refusal as the surfaced
-        // status: the former must propagate, the latter only means one
-        // member's query is out of spill quota.
-        if (first_error.ok() || (!io_failure && !request.quota_refused)) {
-          first_error = request.status;
-        }
-        io_failure = io_failure || !request.quota_refused;
-      }
-    }
-    if (!first_error.ok()) {
-      for (idx_t i = 0; i < batch.size(); i++) {
-        if (requests[i].status.ok() && requests[i].slot != kInvalidIndex) {
-          temp_files_.FreeFixedSlot(requests[i].slot);
-          // The write-time quota charge is undone with the slot.
-          DischargeSpillQuota(*batch[i]);
-        }
-        if (requests[i].quota_refused) {
-          // Out-of-quota block: consume its queue entry, exactly like the
-          // in-memory-only skip — it stays loaded and cannot be offloaded,
-          // so it must stop surfacing as a candidate until re-unpinned.
-          batch[i]->lock_.unlock();
-          note_unlock();
-          continue;
-        }
-        uint64_t seq = batch[i]->eviction_seq_.fetch_add(
-                           1, std::memory_order_relaxed) +
-                       1;
-        batch[i]->lock_.unlock();
-        note_unlock();
-        enqueue(batch[i], seq, /*front=*/false);
-      }
-      batch.clear();
-      if (!io_failure) {
-        // Only quota refusals: nothing actually failed. Report "no buffer";
-        // ReserveMemory rescans, now filtering the refused grant's blocks.
-        return std::unique_ptr<FileBuffer>(nullptr);
-      }
-      return first_error;
-    }
-    std::unique_ptr<FileBuffer> result;
-    for (idx_t i = 0; i < batch.size(); i++) {
-      batch[i]->temp_slot_ = requests[i].slot;
-      evicted_temporary_count_.fetch_add(1, std::memory_order_relaxed);
-      MetricsRegistry::Global().Add(key_evict_temp_spilled_, 1);
-      finalize(*batch[i], result);
-      batch[i]->lock_.unlock();
-      note_unlock();
-    }
-    batch.clear();
-    return result;
   };
 
   while (true) {
@@ -557,22 +389,15 @@ BufferManager::EvictBlocks(idx_t reuse_size, const GrantState *only_grant)
       }
     }
     if (!candidate) {
-      if (!batch.empty()) {
-        // The queues ran dry while gathering a batch; what we have is
-        // enough to satisfy the reservation.
-        record_selection();
-        return flush();
-      }
+      record_selection();
       if (eviction_lock_holders_.load(std::memory_order_acquire) > 0) {
-        // Another thread's eviction batch holds the remaining candidates
-        // locked. That is not out-of-memory: its blocks are either about to
-        // free their memory or to be re-enqueued. Back off and let
+        // Another thread holds the remaining candidate locked while it
+        // spills it. That is not out-of-memory: its block is either about
+        // to free its memory or to be re-enqueued. Back off and let
         // ReserveMemory retry.
         std::this_thread::yield();
-        record_selection();
         return std::unique_ptr<FileBuffer>(nullptr);
       }
-      record_selection();
       return Status::OutOfMemory(
           "memory limit exceeded and no page can be evicted");
     }
@@ -581,82 +406,63 @@ BufferManager::EvictBlocks(idx_t reuse_size, const GrantState *only_grant)
       // recreated on the next unpin if needed.
       continue;
     }
-    note_lock();
+    // Counted only while the lock is held: see eviction_lock_holders_.
+    eviction_lock_holders_.fetch_add(1, std::memory_order_acq_rel);
+    auto unlock = [&]() {
+      candidate->lock_.unlock();
+      eviction_lock_holders_.fetch_sub(1, std::memory_order_acq_rel);
+    };
     if (candidate->eviction_seq_.load(std::memory_order_relaxed) !=
             entry_seq ||
         candidate->readers_.load(std::memory_order_relaxed) != 0 ||
         candidate->state_ != BlockState::kLoaded || candidate->destroyed_) {
-      candidate->lock_.unlock();
-      note_unlock();
+      unlock();
       continue;  // stale entry
     }
-    BlockKind kind = candidate->kind_;
-    idx_t size = candidate->size_;
-    if (kind != BlockKind::kPersistent && !candidate->can_destroy_ &&
-        !spill_temporary_.load(std::memory_order_relaxed)) {
+    const BlockKind kind = candidate->kind_;
+    const idx_t size = candidate->size_;
+    const bool spill =
+        kind != BlockKind::kPersistent && !candidate->can_destroy_;
+    if (spill && !spill_temporary_.load(std::memory_order_relaxed)) {
       // In-memory-only mode: temporary pages cannot be offloaded. Drop the
       // queue entry and keep looking; with nothing else evictable the
       // reservation fails with OutOfMemory (the engine "aborts").
-      candidate->lock_.unlock();
-      note_unlock();
+      unlock();
       continue;
     }
-    if (kind != BlockKind::kPersistent && !candidate->can_destroy_ &&
-        candidate->grant_ != nullptr &&
-        !candidate->grant_->CanSpill(candidate->size_)) {
-      // The owning query is out of spill quota: its pages cannot be
-      // offloaded (same treatment as in-memory-only). The write-time gate in
-      // the temporary-file manager stays authoritative; this filter just
-      // keeps doomed candidates out of spill batches.
-      candidate->lock_.unlock();
-      note_unlock();
+    if (spill && candidate->grant_ != nullptr &&
+        !candidate->grant_->TryChargeSpill(size)) {
+      // The owning query is out of spill quota: its page cannot be
+      // offloaded (same treatment as in-memory-only). The entry is consumed,
+      // so the page stops surfacing as a candidate until it is re-unpinned.
+      unlock();
       continue;
-    }
-    if (kind == BlockKind::kTemporaryFixed && !candidate->can_destroy_) {
-      // Spillable fixed-size page: gather it (lock stays held) and keep
-      // scanning until the batch is full. Depth 1 (the sync default)
-      // reproduces the pre-batching one-write-per-eviction schedule.
-      batch.push_back(std::move(candidate));
-      if (batch.size() >= spill_batch_) {
-        record_selection();
-        return flush();
-      }
-      continue;
-    }
-    // Free-to-drop or variable-size candidate. If a batch is in progress,
-    // put the candidate back where it came from (the original seq keeps the
-    // entry valid) and satisfy the reservation from the batch instead.
-    if (!batch.empty()) {
-      candidate->lock_.unlock();
-      note_unlock();
-      enqueue(candidate, entry_seq, /*front=*/true);
-      record_selection();
-      return flush();
     }
     record_selection();
     if (kind == BlockKind::kPersistent) {
       // Contents are replicated in the database file: dropping is free.
       evicted_persistent_count_.fetch_add(1, std::memory_order_relaxed);
       MetricsRegistry::Global().Add(key_evict_persistent_, 1);
-    } else if (candidate->can_destroy_) {
+    } else if (!spill) {
       candidate->destroyed_ = true;
       evicted_temporary_count_.fetch_add(1, std::memory_order_relaxed);
       MetricsRegistry::Global().Add(key_evict_temp_destroyed_, 1);
     } else {
-      SSAGG_DASSERT(kind == BlockKind::kTemporaryVariable);
       SSAGG_LOG_DEBUG("spilling temporary block of %llu bytes",
                       static_cast<unsigned long long>(size));
-      if (candidate->grant_ != nullptr &&
-          !candidate->grant_->TryChargeSpill(size)) {
-        // Raced past the quota filter above; same outcome — consume the
-        // entry and keep scanning.
-        candidate->lock_.unlock();
-        note_unlock();
-        continue;
+      Status written;
+      if (kind == BlockKind::kTemporaryFixed) {
+        auto slot = temp_files_.WriteFixedBlock(*candidate->buffer_);
+        written = slot.status();
+        if (slot.ok()) {
+          candidate->temp_slot_ = slot.value();
+        }
+      } else {
+        written = temp_files_.WriteVariableBlock(candidate->id_,
+                                                 *candidate->buffer_);
+        candidate->spilled_to_own_file_ = written.ok();
       }
-      Status spill =
-          temp_files_.WriteVariableBlock(candidate->id_, *candidate->buffer_);
-      if (!spill.ok()) {
+      if (!written.ok()) {
         DischargeSpillQuota(*candidate);
         // The block stays loaded and unpinned; re-enqueue it so it remains
         // an eviction candidate for later reservations (its previous queue
@@ -664,19 +470,30 @@ BufferManager::EvictBlocks(idx_t reuse_size, const GrantState *only_grant)
         uint64_t seq = candidate->eviction_seq_.fetch_add(
                            1, std::memory_order_relaxed) +
                        1;
-        candidate->lock_.unlock();
-        note_unlock();
-        enqueue(candidate, seq, /*front=*/false);
-        return spill;
+        unlock();
+        ScopedLock guard(queue_lock_);
+        queues_[QueueIndexLocked(kind)].push_back(
+            EvictionEntry{candidate->weak_from_this(), seq});
+        return written;
       }
-      candidate->spilled_to_own_file_ = true;
       evicted_temporary_count_.fetch_add(1, std::memory_order_relaxed);
       MetricsRegistry::Global().Add(key_evict_temp_spilled_, 1);
     }
     std::unique_ptr<FileBuffer> result;
-    finalize(*candidate, result);
-    candidate->lock_.unlock();
-    note_unlock();
+    if (size == reuse_size) {
+      // Hand the buffer to the new allocation; its memory charge transfers.
+      // The evicted query's grant still gets its bytes back: the new
+      // allocation was already charged to its own grant by ReserveMemory.
+      DischargeLoaded(kind, size);
+      DischargeGrant(*candidate);
+      result = std::move(candidate->buffer_);
+      candidate->state_ = BlockState::kUnloaded;
+      reused_buffers_.fetch_add(1, std::memory_order_relaxed);
+      MetricsRegistry::Global().Add(key_buffer_reuse_, 1);
+    } else {
+      UnloadBlock(*candidate);
+    }
+    unlock();
     return result;
   }
 }
@@ -714,8 +531,8 @@ Result<std::unique_ptr<FileBuffer>> BufferManager::ReserveMemory(
     // below remains the hard bound that arbitrates overdrafts.
     //
     // The retry loop must be stall-bounded: a grant-restricted scan that
-    // frees nothing is not always terminal (a concurrent eviction batch may
-    // briefly hold the only candidates locked), but unbounded retries
+    // frees nothing is not always terminal (a concurrent eviction may
+    // briefly hold the only candidate locked), but unbounded retries
     // against an all-pinned resident set would spin forever — observed as a
     // livelock between two tight-grant queries spilling themselves down
     // simultaneously.
@@ -854,31 +671,6 @@ Result<BufferHandle> BufferManager::Pin(
   if (handle->destroyed_) {
     return Status::Aborted("pin of a destroyed block");
   }
-  if (handle->state_ == BlockState::kLoading) {
-    // An asynchronous prefetch is reading the block in; wait for it to
-    // publish (kLoaded) or fail (kUnloaded + load_error_). The wait is the
-    // query-visible cost of that read, so it counts as blocked-on-spill time.
-    auto wait_start = std::chrono::steady_clock::now();
-    handle->load_cv_.Wait(handle->lock_, [&]() SSAGG_REQUIRES(handle->lock_) {
-      return handle->state_ != BlockState::kLoading;
-    });
-    auto waited_ns = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - wait_start)
-            .count());
-    load_wait_ns_.fetch_add(waited_ns, std::memory_order_relaxed);
-    MetricsRegistry::Global().Record(hist_pin_wait_, waited_ns);
-    if (handle->destroyed_) {
-      return Status::Aborted("pin of a destroyed block");
-    }
-  }
-  if (!handle->load_error_.ok()) {
-    // A failed prefetch left its poison: surface the I/O error exactly once
-    // (the block kept its spill state, so a later Pin retries the load).
-    Status error = std::move(handle->load_error_);
-    handle->load_error_ = Status::OK();
-    return error;
-  }
   if (handle->state_ == BlockState::kLoaded) {
     handle->readers_.fetch_add(1, std::memory_order_relaxed);
     pinned_buffers_.fetch_add(1, std::memory_order_relaxed);
@@ -934,105 +726,9 @@ Result<BufferHandle> BufferManager::Pin(
   return BufferHandle(handle, handle->buffer_.get());
 }
 
-void BufferManager::Prefetch(const std::shared_ptr<BlockHandle> &handle) {
-  if (!prefetch_enabled_) {
-    return;
-  }
-  if (!handle->lock_.try_lock()) {
-    return;  // contended → it is being pinned or evicted right now anyway
-  }
-  FileBuffer *raw = nullptr;
-  idx_t slot = kInvalidIndex;
-  {
-    ScopedLock lock(handle->lock_, std::adopt_lock);
-    if (handle->destroyed_ || handle->kind_ != BlockKind::kTemporaryFixed ||
-        handle->state_ != BlockState::kUnloaded ||
-        handle->temp_slot_ == kInvalidIndex || !handle->load_error_.ok()) {
-      return;  // not a spilled fixed page (or carrying unsurfaced poison)
-    }
-    // Speculative reservation: spare headroom only — never evict, never
-    // consult the fault injector (a prefetch that cannot get memory is
-    // simply skipped, not an error).
-    std::unique_ptr<FileBuffer> buffer;
-    if (!TryCharge(handle->size_, &buffer)) {
-      return;  // memory is tight; the eventual Pin will evict as usual
-    }
-    if (!buffer) {
-      buffer = MapBuffer(handle->size_);
-    }
-    // Speculative like the global half: never grow the grant for a
-    // prefetch. The demand Pin charges (and grows) properly.
-    if (!buffer || (handle->grant_ != nullptr &&
-                    !handle->grant_->TryCharge(handle->size_))) {
-      // `buffer` goes back to the pool after the discharge.
-      memory_used_.fetch_sub(handle->size_, std::memory_order_relaxed);
-      return;
-    }
-    handle->buffer_ = std::move(buffer);
-    handle->state_ = BlockState::kLoading;
-    raw = handle->buffer_.get();
-    slot = handle->temp_slot_;
-  }
-  // Submit *outside* the block lock: a sync-completing backend runs
-  // FinishPrefetch inline on this thread, which re-takes the lock.
-  prefetch_issued_.fetch_add(1, std::memory_order_relaxed);
-  temp_files_.SubmitReadFixedBlock(
-      slot, *raw,
-      [this, handle](const Status &status) { FinishPrefetch(handle, status); });
-}
-
-void BufferManager::FinishPrefetch(const std::shared_ptr<BlockHandle> &handle,
-                                   const Status &status) {
-  bool loaded = false;
-  {
-    ScopedLock lock(handle->lock_);
-    SSAGG_DASSERT(handle->state_ == BlockState::kLoading);
-    if (status.ok()) {
-      // The temporary-file manager released the slot with the read.
-      handle->temp_slot_ = kInvalidIndex;
-      DischargeSpillQuota(*handle);
-      if (handle->destroyed_) {
-        // Destroyed mid-flight: drop the freshly loaded contents.
-        UnloadBlock(*handle);
-      } else {
-        handle->state_ = BlockState::kLoaded;
-        handle->eviction_seq_.fetch_add(1, std::memory_order_relaxed);
-        ChargeLoaded(handle->kind_, handle->size_);
-        loaded = true;
-        // The block is unpinned, so it is immediately an eviction candidate
-        // again (LRU-freshest: it was just read back on purpose).
-        uint64_t seq =
-            handle->eviction_seq_.load(std::memory_order_relaxed);
-        ScopedLock guard(queue_lock_);
-        queues_[QueueIndexLocked(handle->kind_)].push_back(
-            EvictionEntry{handle->weak_from_this(), seq});
-      }
-    } else {
-      // Failed read keeps the slot (spill state stays reclaimable). Poison
-      // the block so the next Pin surfaces the error; if it was destroyed
-      // mid-flight nobody will pin again, so release the slot here.
-      UnloadBlock(*handle);
-      if (handle->destroyed_) {
-        if (handle->temp_slot_ != kInvalidIndex) {
-          temp_files_.FreeFixedSlot(handle->temp_slot_);
-          handle->temp_slot_ = kInvalidIndex;
-          DischargeSpillQuota(*handle);
-        }
-      } else {
-        handle->load_error_ = status;
-      }
-    }
-  }
-  handle->load_cv_.NotifyAll();
-  if (loaded) {
-    prefetch_completed_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
 void BufferManager::UnloadBlock(BlockHandle &block) {
-  if (block.state_ == BlockState::kLoaded) {
-    DischargeLoaded(block.kind_, block.size_);
-  }
+  SSAGG_DASSERT(block.state_ == BlockState::kLoaded);
+  DischargeLoaded(block.kind_, block.size_);
   memory_used_.fetch_sub(block.size_, std::memory_order_relaxed);
   DischargeGrant(block);
   // Dropped after the discharge, so that the frame finds room in the pool.
@@ -1092,15 +788,6 @@ void BufferManager::DestroyBlock(const std::shared_ptr<BlockHandle> &handle) {
   ScopedLock lock(handle->lock_);
   if (handle->destroyed_) {
     return;
-  }
-  if (handle->state_ == BlockState::kLoading) {
-    // Wait out the in-flight prefetch before destroying so the no-leak
-    // invariant (no charge, no slot) holds the moment the owner is gone —
-    // not at some later completion. Rare: only a destroy that races a
-    // prefetch of the same block gets here.
-    handle->load_cv_.Wait(handle->lock_, [&]() SSAGG_REQUIRES(handle->lock_) {
-      return handle->state_ != BlockState::kLoading;
-    });
   }
   handle->destroyed_ = true;
   if (handle->state_ == BlockState::kLoaded) {
@@ -1208,17 +895,8 @@ BufferManagerSnapshot BufferManager::Snapshot() const {
   snap.temp_reads = temp_files_.ReadCount();
   snap.spill_bytes_written = temp_files_.BytesWritten();
   snap.spill_bytes_read = temp_files_.BytesRead();
-  snap.spill_raw_bytes = temp_files_.RawBytesWritten();
-  snap.spill_coalesced_writes = temp_files_.CoalescedWrites();
-  snap.spill_coalesced_pages = temp_files_.CoalescedPages();
-  snap.prefetch_issued = prefetch_issued_.load(std::memory_order_relaxed);
-  snap.prefetch_completed =
-      prefetch_completed_.load(std::memory_order_relaxed);
   snap.spill_write_seconds = temp_files_.WriteSeconds();
-  snap.spill_read_seconds =
-      temp_files_.ReadSeconds() +
-      static_cast<double>(load_wait_ns_.load(std::memory_order_relaxed)) *
-          1e-9;
+  snap.spill_read_seconds = temp_files_.ReadSeconds();
   snap.spill_slot_reuses = temp_files_.SlotReuses();
   snap.spill_variable_files = temp_files_.VariableFilesCreated();
   snap.oom_rejections = oom_rejections_.load(std::memory_order_relaxed);

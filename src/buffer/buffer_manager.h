@@ -11,7 +11,6 @@
 #include "buffer/buffer_handle.h"
 #include "buffer/file_block_manager.h"
 #include "buffer/temporary_file_manager.h"
-#include "common/async_io.h"
 #include "common/constants.h"
 #include "common/file_system.h"
 #include "common/mutex.h"
@@ -50,23 +49,13 @@ struct BufferManagerSnapshot {
   idx_t temp_writes = 0;
   idx_t temp_reads = 0;
   // Spill I/O accounting (ground truth: TemporaryFileManager).
-  // spill_bytes_written is physical (post-compression); spill_raw_bytes is
-  // the logical pre-compression volume.
   idx_t spill_bytes_written = 0;
   idx_t spill_bytes_read = 0;
-  idx_t spill_raw_bytes = 0;
-  idx_t spill_coalesced_writes = 0;
-  idx_t spill_coalesced_pages = 0;
-  // Wall-clock seconds query threads were *blocked* on spill I/O: the
-  // submit..wait window of writes, demand reads, and Pin()'s waits for
-  // in-flight prefetch loads. Prefetch latency nobody waited on is excluded.
+  // Wall-clock seconds query threads spent inside spill writes and reads.
   double spill_write_seconds = 0;
   double spill_read_seconds = 0;
   idx_t spill_slot_reuses = 0;
   idx_t spill_variable_files = 0;
-  // Asynchronous read-ahead of spilled blocks.
-  idx_t prefetch_issued = 0;
-  idx_t prefetch_completed = 0;
   /// Reservations rejected because nothing more could be evicted.
   idx_t oom_rejections = 0;
   /// Idle page frames kept for reuse. They are not charged to memory_used,
@@ -118,32 +107,6 @@ class NonPagedAllocation {
   std::shared_ptr<GrantState> grant_;
 };
 
-/// Construction-time knobs of the buffer manager's spill I/O path.
-struct BufferManagerOptions {
-  EvictionPolicy policy = EvictionPolicy::kMixed;
-  /// Which async backend executes spill I/O. kSync (the default) preserves
-  /// the exact one-write-per-eviction schedule of the pre-async engine.
-  IoBackendKind io_backend = IoBackendKind::kSync;
-  idx_t io_threads = 4;
-  /// Compress spilled pages into codec spill frames.
-  bool spill_compression = false;
-  /// Fixed-size pages spilled per eviction batch (the writeback pipeline
-  /// depth). 0 = auto: 1 for the sync backend (legacy semantics), 16 for
-  /// async backends (deep batches amortize the submit..wait cycle across
-  /// many in-flight transfers). Values > 1 over-evict: a one-page
-  /// reservation may spill up to this many LRU victims in one overlapped
-  /// batch, so the following reservations need no eviction at all.
-  idx_t spill_batch = 0;
-  /// Allow asynchronous read-ahead of spilled blocks (only active with an
-  /// async backend; never evicts, never consults the fault injector for its
-  /// memory reservation).
-  bool prefetch = true;
-
-  /// Defaults with io_backend / spill_compression taken from the
-  /// SSAGG_IO_BACKEND and SSAGG_SPILL_COMPRESSION environment variables.
-  static BufferManagerOptions FromEnv();
-};
-
 /// Unified Memory Management (Section III): one memory pool and one eviction
 /// mechanism for persistent pages, paged fixed-size temporary data, paged
 /// variable-size temporary data, and non-paged temporary allocations.
@@ -154,14 +117,8 @@ struct BufferManagerOptions {
 /// allocation.
 class BufferManager {
  public:
-  /// Reads the I/O options from the environment (BufferManagerOptions::
-  /// FromEnv), so SSAGG_IO_BACKEND / SSAGG_SPILL_COMPRESSION apply to every
-  /// engine instance without touching call sites.
   BufferManager(std::string temp_directory, idx_t memory_limit,
                 EvictionPolicy policy = EvictionPolicy::kMixed,
-                FileSystem &fs = FileSystem::Default());
-  BufferManager(std::string temp_directory, idx_t memory_limit,
-                BufferManagerOptions options,
                 FileSystem &fs = FileSystem::Default());
   ~BufferManager();
 
@@ -184,18 +141,8 @@ class BufferManager {
       FileBlockManager &block_manager, block_id_t block_id);
 
   /// Pins the block, loading it from the database file or temporary file if
-  /// it is not resident. May evict other pages to make room. If the block is
-  /// being prefetched (kLoading), waits for the load to finish.
+  /// it is not resident. May evict other pages to make room.
   Result<BufferHandle> Pin(const std::shared_ptr<BlockHandle> &handle);
-
-  /// Best-effort asynchronous read-ahead of a spilled fixed-size temporary
-  /// block: reserves memory from the pool's spare headroom (never evicting
-  /// and never consulting the fault injector — prefetch is speculative),
-  /// submits the read, and publishes the block as kLoaded on completion. A
-  /// failed prefetch poisons the block so the next Pin surfaces the error.
-  /// Silently does nothing when the block is not prefetchable, memory is
-  /// tight, or the backend is synchronous.
-  void Prefetch(const std::shared_ptr<BlockHandle> &handle);
 
   /// Eagerly destroys a block's contents: frees the memory if loaded, or the
   /// temporary-file space if spilled (Section III: "we try to eagerly
@@ -225,12 +172,6 @@ class BufferManager {
   [[nodiscard]] BufferManagerSnapshot Snapshot() const;
   TemporaryFileManager &temp_files() { return temp_files_; }
   const TemporaryFileManager &temp_files() const { return temp_files_; }
-  /// The async backend all spill I/O goes through (sort runs share it so
-  /// their read-ahead rides the same pipeline).
-  AsyncIoBackend &io_backend() const { return *io_backend_; }
-  [[nodiscard]] bool spill_compression() const {
-    return temp_files_.spill_compression();
-  }
   /// The file system this pool (and its temporary files) performs I/O
   /// through; operators spill through the same one so that fault injection
   /// covers every layer.
@@ -243,13 +184,12 @@ class BufferManager {
   }
 
   /// Installs (or clears, with nullptr) a fault injector consulted on every
-  /// memory reservation (FaultSite::kAllocate), every Pin (FaultSite::kPin)
-  /// and — via the async backend — every spill I/O submission/completion,
-  /// so tests can deny the Nth operation and prove the failure unwinds
-  /// cleanly. Not owned; must outlive its use.
+  /// memory reservation (FaultSite::kAllocate) and every Pin
+  /// (FaultSite::kPin), so tests can deny the Nth operation and prove the
+  /// failure unwinds cleanly. Spill I/O faults come from the file system the
+  /// pool was built with. Not owned; must outlive its use.
   void SetFaultInjector(FaultInjector *injector) {
     fault_injector_.store(injector, std::memory_order_release);
-    io_backend_->SetFaultInjector(injector);
   }
 
   /// When disabled, temporary pages are never written to temporary files:
@@ -318,19 +258,22 @@ class BufferManager {
   /// Gives back a reservation whose memory could not be provided.
   void CancelReservation(idx_t size, GrantState *grant);
 
-  /// Evicts at least one block, spilling up to spill_batch_ fixed-size
-  /// temporaries as one overlapped write batch. Returns an evicted buffer
-  /// reusable for `reuse_size` (nullptr if memory was freed instead); an
-  /// error if no evictable block exists or a spill write failed. A failed
-  /// batch rolls back completely: every member block stays loaded, its slot
-  /// is released and it is re-enqueued as an eviction candidate.
+  /// Evicts one block: drops a persistent or destroyable page, or writes a
+  /// temporary page to its temporary file inline, under the block's lock.
+  /// Returns the evicted buffer when it is reusable for `reuse_size`
+  /// (nullptr if memory was freed instead); an error if no evictable block
+  /// exists or the spill write failed. A failed write leaves the block
+  /// loaded, releases its slot and quota charge, and re-enqueues it as an
+  /// eviction candidate.
   ///
   /// When `only_grant` is set, only blocks charged to that grant are
   /// considered; other queries' entries are put back untouched (a query
   /// spilling to fit inside its shrunken grant must not evict its
-  /// neighbours). Blocks whose grant is out of per-query spill quota are
-  /// skipped like in-memory-only pages: with nothing else evictable the
-  /// reservation fails with OutOfMemory, isolating the quota breach.
+  /// neighbours). A temporary page is charged to its grant's per-query
+  /// spill quota before it is written; a refused charge skips the page like
+  /// an in-memory-only one and the scan goes on: with nothing else
+  /// evictable the reservation fails with OutOfMemory, isolating the quota
+  /// breach.
   ///
   /// A refusal is OutOfMemory; the caller records it (RecordOomRejection)
   /// once it gives up.
@@ -362,13 +305,8 @@ class BufferManager {
   static void DischargeSpillQuota(BlockHandle &block)
       SSAGG_REQUIRES(block.lock_);
 
-  /// Publishes the result of an asynchronous prefetch read; runs on the
-  /// backend's completing thread.
-  void FinishPrefetch(const std::shared_ptr<BlockHandle> &handle,
-                      const Status &status);
-
-  /// Drops a block's buffer (kLoaded, or kLoading for an abandoned
-  /// prefetch) together with its memory and grant charges.
+  /// Drops a loaded block's buffer together with its memory and grant
+  /// charges.
   void UnloadBlock(BlockHandle &block) SSAGG_REQUIRES(block.lock_);
 
   /// Called by BufferHandle::Reset.
@@ -384,18 +322,6 @@ class BufferManager {
   std::atomic<idx_t> memory_limit_;
   std::atomic<bool> spill_temporary_{true};
   std::atomic<FaultInjector *> fault_injector_{nullptr};
-  /// Declared before temp_files_ (which submits against it) so it outlives
-  /// the manager's files; the destructor drains it before members die.
-  std::unique_ptr<AsyncIoBackend> io_backend_;
-  /// Resolved pipeline depth of eviction write batches (>= 1).
-  idx_t spill_batch_;
-  bool prefetch_enabled_;
-  std::atomic<idx_t> prefetch_issued_{0};
-  std::atomic<idx_t> prefetch_completed_{0};
-  /// Nanoseconds Pin() spent waiting for in-flight prefetch loads; folded
-  /// into spill_read_seconds so that number means "time query threads were
-  /// blocked on spill reads" (prefetch completions themselves record 0).
-  std::atomic<uint64_t> load_wait_ns_{0};
   TemporaryFileManager temp_files_;
 
   std::atomic<idx_t> memory_used_{0};
@@ -415,17 +341,17 @@ class BufferManager {
   /// Length of each queue after its last purge of dead entries.
   idx_t purged_length_[2] SSAGG_GUARDED_BY(queue_lock_) = {0, 0};
 
-  /// Threads inside EvictBlocks that currently hold candidate block locks
-  /// (a spill batch being gathered or written). A reservation that finds
-  /// the queues empty while such a holder exists retries instead of
-  /// reporting OutOfMemory: the holder's blocks are about to free memory
-  /// or be re-enqueued. Mere scanners must not count — two empty-handed
+  /// Threads inside EvictBlocks that currently hold a candidate's block
+  /// lock (its spill write in progress). A reservation that finds the
+  /// queues empty while such a holder exists retries instead of reporting
+  /// OutOfMemory: the holder's block is about to free memory or be
+  /// re-enqueued. Mere scanners must not count — two empty-handed
   /// concurrent scans seeing each other would retry forever.
   std::atomic<idx_t> eviction_lock_holders_{0};
 
   /// The frame pool: idle kPageSize frames, reused before new ones are
   /// mapped. Leaf lock, ranked above every lock a buffer can be released
-  /// under (block, eviction queue, temp file, I/O completion). Every
+  /// under (block, eviction queue, temp file). Every
   /// increase of memory_used_ or of the pool is checked under it, which
   /// keeps memory_used_ + idle frame bytes within the limit; decreases need
   /// no lock.
@@ -447,10 +373,8 @@ class BufferManager {
   idx_t key_buffer_reuse_;
   idx_t key_oom_rejections_;
   idx_t key_frame_pool_hits_;
-  /// Histogram ids: time Pin() blocked on an in-flight load, and time
-  /// EvictBlocks spent selecting victims (scan + try-lock churn, excluding
-  /// the spill write itself).
-  idx_t hist_pin_wait_;
+  /// Histogram id: time EvictBlocks spent selecting victims (scan + try-lock
+  /// churn, excluding the spill write itself).
   idx_t hist_evict_select_;
 };
 

@@ -26,15 +26,6 @@ Status GrantState::Charge(idx_t size) {
   }
 }
 
-bool GrantState::TryCharge(idx_t size) {
-  idx_t new_used = used_.fetch_add(size, std::memory_order_relaxed) + size;
-  if (new_used <= granted_.load(std::memory_order_acquire)) {
-    return true;
-  }
-  used_.fetch_sub(size, std::memory_order_relaxed);
-  return false;
-}
-
 void GrantState::ChargeOverdraft(idx_t size) {
   used_.fetch_add(size, std::memory_order_relaxed);
   overdraft_.fetch_add(size, std::memory_order_relaxed);
@@ -47,13 +38,6 @@ void GrantState::Discharge(idx_t size) {
   idx_t prev = used_.fetch_sub(size, std::memory_order_relaxed);
   SSAGG_DASSERT(prev >= size);
   (void)prev;
-}
-
-bool GrantState::CanSpill(idx_t bytes) const {
-  if (spill_quota_ == 0) {
-    return true;
-  }
-  return spilled_.load(std::memory_order_relaxed) + bytes <= spill_quota_;
 }
 
 bool GrantState::TryChargeSpill(idx_t bytes) {

@@ -57,8 +57,6 @@ class GrantState : public std::enable_shared_from_this<GrantState> {
   /// cannot grow it — the BufferManager then spills this query's own pages
   /// and retries, so hitting the ceiling degrades to spilling, not failure.
   Status Charge(idx_t size);
-  /// Charge that never grows the grant (speculative reservations: prefetch).
-  [[nodiscard]] bool TryCharge(idx_t size);
   /// Unconditional charge past the grant ceiling. Grants are arbitration
   /// policy, not a hard bound: when a query's resident set is all pinned,
   /// its grant cannot grow, and it has nothing of its own left to spill,
@@ -73,10 +71,8 @@ class GrantState : public std::enable_shared_from_this<GrantState> {
     return overdraft_.load(std::memory_order_relaxed);
   }
 
-  /// Spill-quota half, enforced by the TemporaryFileManager on every spill
-  /// write of a granted block. Quota is counted in logical (pre-compression)
-  /// bytes so compression settings do not change admission behaviour.
-  [[nodiscard]] bool CanSpill(idx_t bytes) const;
+  /// Spill-quota half, charged by the BufferManager's eviction before every
+  /// spill write of a granted block, in bytes of spilled pages.
   [[nodiscard]] bool TryChargeSpill(idx_t bytes);
   void DischargeSpill(idx_t bytes);
 

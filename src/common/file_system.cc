@@ -93,8 +93,6 @@ class LocalFileHandle : public FileHandle {
     return static_cast<idx_t>(st.st_size);
   }
 
-  int RawFd() const override { return fd_; }
-
  private:
   int fd_;
 };

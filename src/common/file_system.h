@@ -35,11 +35,6 @@ class FileHandle {
   virtual Status Sync() = 0;
   virtual Status Truncate(idx_t size) = 0;
   virtual Result<idx_t> FileSize() = 0;
-  /// Underlying OS descriptor, or -1 when there is none (decorated handles,
-  /// in-memory handles). Async backends that talk to the kernel directly
-  /// (io_uring) use it; a negative value makes them fall back to the
-  /// virtual Read/Write path so decorators keep seeing every operation.
-  virtual int RawFd() const { return -1; }
   const std::string &path() const { return path_; }
 
  protected:

@@ -75,8 +75,8 @@ void OnAcquire(LockRank rank, const char *name, const void *mutex,
 }
 
 void OnRelease(const void *mutex) {
-  // Scan newest-first: releases are usually LIFO, but EvictBlocks drops a
-  // try-locked batch in arbitrary order, so any held entry may match.
+  // Scan newest-first: releases are usually LIFO, but a manually unlocked
+  // mutex may be released out of order, so any held entry may match.
   for (int i = t_held_count - 1; i >= 0; i--) {
     if (t_held[i].mutex == mutex) {
       for (int j = i; j < t_held_count - 1; j++) {
@@ -87,7 +87,7 @@ void OnRelease(const void *mutex) {
     }
   }
   // Not tracked: either the overflow path swallowed the acquire, or the
-  // mutex was locked on another thread (IoCompletion handoff). Ignore.
+  // mutex was locked on another thread. Ignore.
   if (t_overflow > 0) {
     t_overflow--;
   }

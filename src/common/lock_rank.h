@@ -50,14 +50,8 @@ enum class LockRank : std::uint16_t {
   kEvictionQueue = 50,      // BufferManager::queue_lock_
   kTempFileManager = 60,    // TemporaryFileManager::lock_
 
-  // --- Async I/O backends ------------------------------------------------
-  kIoWorkQueue = 70,        // ThreadPoolIoBackend::lock_
-  kIoSubmitRing = 71,       // IoUringBackend::sq_lock_
-  kIoDrain = 72,            // IoUringBackend::drain_lock_
-  kIoCompletion = 76,       // IoCompletion::lock_
-
   // --- Frame pool (leaf of the buffer band: buffers are released under
-  // block, eviction-queue, temp-file and I/O-completion locks) -----------
+  // block, eviction-queue and temp-file locks) ---------------------------
   kFramePool = 80,          // BufferManager::frame_lock_
 
   // --- Observability (leaf-most: callable from anywhere) -----------------
@@ -81,7 +75,7 @@ void OnAcquire(LockRank rank, const char *name, const void *mutex,
                bool try_lock);
 
 /// Called on every unlock; removes `mutex` from the held stack (non-LIFO
-/// release is legal — EvictBlocks releases batches out of order).
+/// release is legal).
 void OnRelease(const void *mutex);
 
 /// Number of lock-rank violations that would have aborted, had

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "common/hash.h"
 #include "common/string_type.h"
 
 namespace ssagg {
@@ -342,415 +341,6 @@ void CopyDecodedRows(const DecodedSegment &segment, idx_t offset, idx_t count,
       out.validity().SetInvalid(i);
     }
   }
-}
-
-//===----------------------------------------------------------------------===//
-// Spill frames
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Checksum of a frame payload: the repo-wide hash, truncated to the 32 bits
-/// stored in the header.
-uint32_t FrameChecksum(const_data_ptr_t data, idx_t size) {
-  return static_cast<uint32_t>(
-      HashBytes(reinterpret_cast<const char *>(data), size));
-}
-
-// Byte-RLE token stream: control byte c, then
-//   c < 128   : c + 1 literal bytes follow;
-//   c >= 128  : the next byte repeats (c - 128 + 3) times (runs of 3..130).
-constexpr idx_t kRleMaxRun = 130;
-constexpr idx_t kRleMaxLiteral = 128;
-
-void ByteRleEncode(const_data_ptr_t data, idx_t size,
-                   std::vector<data_t> &out) {
-  idx_t i = 0;
-  idx_t literal_start = 0;
-  auto flush_literals = [&](idx_t end) {
-    while (literal_start < end) {
-      idx_t n = std::min<idx_t>(end - literal_start, kRleMaxLiteral);
-      out.push_back(static_cast<data_t>(n - 1));
-      AppendBytes(out, data + literal_start, n);
-      literal_start += n;
-    }
-  };
-  while (i < size) {
-    idx_t run = 1;
-    while (i + run < size && run < kRleMaxRun && data[i + run] == data[i]) {
-      run++;
-    }
-    if (run >= 3) {
-      flush_literals(i);
-      out.push_back(static_cast<data_t>(128 + run - 3));
-      out.push_back(data[i]);
-      i += run;
-      literal_start = i;
-    } else {
-      i += run;
-    }
-  }
-  flush_literals(size);
-}
-
-Status ByteRleDecode(const_data_ptr_t data, idx_t size, data_ptr_t out,
-                     idx_t out_size) {
-  idx_t in = 0;
-  idx_t pos = 0;
-  while (in < size) {
-    data_t control = data[in++];
-    if (control < 128) {
-      idx_t n = static_cast<idx_t>(control) + 1;
-      if (in + n > size || pos + n > out_size) {
-        return Status::IOError("corrupt spill frame: RLE literal out of "
-                               "bounds");
-      }
-      std::memcpy(out + pos, data + in, n);
-      in += n;
-      pos += n;
-    } else {
-      idx_t n = static_cast<idx_t>(control) - 128 + 3;
-      if (in >= size || pos + n > out_size) {
-        return Status::IOError("corrupt spill frame: RLE run out of bounds");
-      }
-      std::memset(out + pos, data[in++], n);
-      pos += n;
-    }
-  }
-  if (pos != out_size) {
-    return Status::IOError("corrupt spill frame: RLE decoded short");
-  }
-  return Status::OK();
-}
-
-// Word-FoR: the payload is cut into blocks of up to 1024 little-endian
-// 64-bit words; each block stores min (8 bytes), bit width (1 byte) and the
-// bit-packed deltas. Only applicable when the raw size is word-aligned.
-constexpr idx_t kForBlockWords = 1024;
-
-void WordForEncode(const_data_ptr_t data, idx_t size,
-                   std::vector<data_t> &out) {
-  idx_t words = size / 8;
-  std::vector<uint64_t> deltas;
-  for (idx_t start = 0; start < words; start += kForBlockWords) {
-    idx_t n = std::min(kForBlockWords, words - start);
-    uint64_t min_value = ~uint64_t(0);
-    uint64_t max_value = 0;
-    for (idx_t i = 0; i < n; i++) {
-      uint64_t v;
-      std::memcpy(&v, data + (start + i) * 8, 8);
-      min_value = std::min(min_value, v);
-      max_value = std::max(max_value, v);
-    }
-    idx_t bits = BitsNeeded(max_value - min_value);
-    AppendValue<uint64_t>(out, min_value);
-    out.push_back(static_cast<data_t>(bits));
-    if (bits >= 64) {
-      AppendBytes(out, data + start * 8, n * 8);
-      continue;
-    }
-    deltas.resize(n);
-    for (idx_t i = 0; i < n; i++) {
-      uint64_t v;
-      std::memcpy(&v, data + (start + i) * 8, 8);
-      deltas[i] = v - min_value;
-    }
-    PackBits(deltas, bits, out);
-  }
-}
-
-Status WordForDecode(const_data_ptr_t data, idx_t size, data_ptr_t out,
-                     idx_t out_size) {
-  if (out_size % 8 != 0) {
-    return Status::IOError("corrupt spill frame: FoR output not word sized");
-  }
-  idx_t words = out_size / 8;
-  idx_t in = 0;
-  for (idx_t start = 0; start < words; start += kForBlockWords) {
-    idx_t n = std::min(kForBlockWords, words - start);
-    if (in + 9 > size) {
-      return Status::IOError("corrupt spill frame: FoR block header "
-                             "truncated");
-    }
-    const_data_ptr_t cursor = data + in;
-    uint64_t min_value = ReadValue<uint64_t>(cursor);
-    idx_t bits = data[in + 8];
-    in += 9;
-    if (bits >= 64) {
-      if (in + n * 8 > size) {
-        return Status::IOError("corrupt spill frame: FoR raw block "
-                               "truncated");
-      }
-      std::memcpy(out + start * 8, data + in, n * 8);
-      in += n * 8;
-      continue;
-    }
-    idx_t packed = (n * bits + 7) / 8;
-    if (in + packed > size) {
-      return Status::IOError("corrupt spill frame: FoR packed block "
-                             "truncated");
-    }
-    for (idx_t i = 0; i < n; i++) {
-      uint64_t v = min_value + UnpackBits(data + in, i, bits);
-      std::memcpy(out + (start + i) * 8, &v, 8);
-    }
-    in += packed;
-  }
-  if (in != size) {
-    return Status::IOError("corrupt spill frame: FoR trailing bytes");
-  }
-  return Status::OK();
-}
-
-// Greedy byte-oriented LZ77. Token stream: each sequence is
-//   token byte: high nibble = literal count, low nibble = match length - 4
-//               (15 in either nibble chains extra 255-capped length bytes),
-//   literal bytes, then a 2-byte little-endian match offset (1..65535).
-// The final sequence carries literals only (input ends after them). Spilled
-// pages are rows at a fixed stride, so back-references at small multiples of
-// the row width pick up the repeated key/aggregate structure that the
-// value-oriented codecs above cannot see.
-constexpr idx_t kLzMinMatch = 4;
-constexpr idx_t kLzWindow = 65535;
-constexpr idx_t kLzHashBits = 13;
-
-uint32_t LzHash(const_data_ptr_t p) {
-  uint32_t v;
-  std::memcpy(&v, p, 4);
-  return (v * 2654435761u) >> (32 - kLzHashBits);
-}
-
-void LzAppendLength(std::vector<data_t> &out, idx_t len) {
-  while (len >= 255) {
-    out.push_back(255);
-    len -= 255;
-  }
-  out.push_back(static_cast<data_t>(len));
-}
-
-/// Encodes into `out`; gives up (returns false, out unspecified) as soon as
-/// the encoding exceeds the raw size, so incompressible pages cost one pass.
-bool LzEncode(const_data_ptr_t data, idx_t size, std::vector<data_t> &out) {
-  if (size < kLzMinMatch + 1) {
-    return false;
-  }
-  std::vector<uint32_t> table(idx_t(1) << kLzHashBits, 0);
-  // Position 0 is the table's "empty" sentinel; start matching at 1.
-  idx_t pos = 1;
-  idx_t literal_start = 0;
-  const idx_t match_limit = size - kLzMinMatch;
-  auto emit = [&](idx_t match_len, idx_t offset) {
-    idx_t literals = pos - literal_start;
-    idx_t lit_nibble = std::min<idx_t>(literals, 15);
-    idx_t match_nibble = std::min<idx_t>(match_len - kLzMinMatch, 15);
-    out.push_back(static_cast<data_t>((lit_nibble << 4) | match_nibble));
-    if (lit_nibble == 15) {
-      LzAppendLength(out, literals - 15);
-    }
-    AppendBytes(out, data + literal_start, literals);
-    AppendValue<uint16_t>(out, static_cast<uint16_t>(offset));
-    if (match_nibble == 15) {
-      LzAppendLength(out, match_len - kLzMinMatch - 15);
-    }
-  };
-  while (pos <= match_limit) {
-    uint32_t hash = LzHash(data + pos);
-    idx_t candidate = table[hash];
-    table[hash] = static_cast<uint32_t>(pos);
-    if (candidate != 0 && pos - candidate <= kLzWindow &&
-        std::memcmp(data + candidate, data + pos, kLzMinMatch) == 0) {
-      idx_t len = kLzMinMatch;
-      while (pos + len < size && data[candidate + len] == data[pos + len]) {
-        len++;
-      }
-      emit(len, pos - candidate);
-      pos += len;
-      literal_start = pos;
-      if (out.size() >= size) {
-        return false;
-      }
-    } else {
-      pos++;
-    }
-  }
-  // Tail: the remaining bytes are literals of a match-less final sequence.
-  idx_t literals = size - literal_start;
-  idx_t lit_nibble = std::min<idx_t>(literals, 15);
-  out.push_back(static_cast<data_t>(lit_nibble << 4));
-  if (lit_nibble == 15) {
-    LzAppendLength(out, literals - 15);
-  }
-  AppendBytes(out, data + literal_start, literals);
-  return out.size() < size;
-}
-
-Status LzReadLength(const_data_ptr_t data, idx_t size, idx_t &in,
-                    idx_t &len) {
-  data_t byte;
-  do {
-    if (in >= size) {
-      return Status::IOError("corrupt spill frame: LZ length truncated");
-    }
-    byte = data[in++];
-    len += byte;
-  } while (byte == 255);
-  return Status::OK();
-}
-
-Status LzDecode(const_data_ptr_t data, idx_t size, data_ptr_t out,
-                idx_t out_size) {
-  idx_t in = 0;
-  idx_t pos = 0;
-  while (in < size) {
-    data_t token = data[in++];
-    idx_t literals = token >> 4;
-    if (literals == 15) {
-      SSAGG_RETURN_NOT_OK(LzReadLength(data, size, in, literals));
-    }
-    if (in + literals > size || pos + literals > out_size) {
-      return Status::IOError("corrupt spill frame: LZ literals out of "
-                             "bounds");
-    }
-    std::memcpy(out + pos, data + in, literals);
-    in += literals;
-    pos += literals;
-    if (in == size) {
-      break;  // final sequence: literals only
-    }
-    if (in + 2 > size) {
-      return Status::IOError("corrupt spill frame: LZ offset truncated");
-    }
-    idx_t offset = static_cast<idx_t>(data[in]) |
-                   (static_cast<idx_t>(data[in + 1]) << 8);
-    in += 2;
-    idx_t match_len = (token & 0xF);
-    if (match_len == 15) {
-      SSAGG_RETURN_NOT_OK(LzReadLength(data, size, in, match_len));
-    }
-    match_len += kLzMinMatch;
-    if (offset == 0 || offset > pos || pos + match_len > out_size) {
-      return Status::IOError("corrupt spill frame: LZ match out of bounds");
-    }
-    // Byte-wise copy: matches may overlap their own output (offset < len).
-    for (idx_t i = 0; i < match_len; i++) {
-      out[pos + i] = out[pos + i - offset];
-    }
-    pos += match_len;
-  }
-  if (pos != out_size) {
-    return Status::IOError("corrupt spill frame: LZ decoded short");
-  }
-  return Status::OK();
-}
-
-void WriteFrameHeader(std::vector<data_t> &out, SpillCodec codec,
-                      idx_t raw_len, idx_t comp_len, uint32_t checksum) {
-  AppendValue<uint32_t>(out, SpillFrameHeader::kMagic);
-  out.push_back(static_cast<data_t>(codec));
-  out.push_back(0);  // flags
-  AppendValue<uint16_t>(out, 0);
-  AppendValue<uint32_t>(out, static_cast<uint32_t>(raw_len));
-  AppendValue<uint32_t>(out, static_cast<uint32_t>(comp_len));
-  AppendValue<uint32_t>(out, checksum);
-}
-
-}  // namespace
-
-void CompressSpillFrame(const_data_ptr_t data, idx_t size,
-                        std::vector<data_t> &out) {
-  out.clear();
-  SpillCodec codec = SpillCodec::kRaw;
-  const data_t *payload = data;
-  idx_t payload_size = size;
-  std::vector<data_t> lz;
-  if (LzEncode(data, size, lz)) {
-    codec = SpillCodec::kLz;
-    payload = lz.data();
-    payload_size = lz.size();
-  }
-  // The value-oriented codecs cost full extra passes; only consult them when
-  // LZ left real room on the table (they win on numeric pages whose values
-  // vary in the low bits, which defeats byte-oriented matching).
-  std::vector<data_t> rle;
-  std::vector<data_t> word_for;
-  if (payload_size * 4 > size * 3) {
-    ByteRleEncode(data, size, rle);
-    if (!rle.empty() && rle.size() < payload_size) {
-      codec = SpillCodec::kByteRle;
-      payload = rle.data();
-      payload_size = rle.size();
-    }
-    if (size % 8 == 0 && size > 0) {
-      WordForEncode(data, size, word_for);
-      if (!word_for.empty() && word_for.size() < payload_size) {
-        codec = SpillCodec::kWordFor;
-        payload = word_for.data();
-        payload_size = word_for.size();
-      }
-    }
-  }
-  out.reserve(SpillFrameHeader::kSize + payload_size);
-  WriteFrameHeader(out, codec, size, payload_size,
-                   FrameChecksum(payload, payload_size));
-  AppendBytes(out, payload, payload_size);
-}
-
-Status PeekSpillFrame(const_data_ptr_t data, idx_t size,
-                      SpillFrameHeader &header) {
-  if (size < SpillFrameHeader::kSize) {
-    return Status::IOError("corrupt spill frame: header truncated");
-  }
-  const_data_ptr_t cursor = data;
-  if (ReadValue<uint32_t>(cursor) != SpillFrameHeader::kMagic) {
-    return Status::IOError("corrupt spill frame: bad magic");
-  }
-  uint8_t codec = *cursor++;
-  cursor++;                      // flags
-  ReadValue<uint16_t>(cursor);   // reserved
-  if (codec > static_cast<uint8_t>(SpillCodec::kLz)) {
-    return Status::IOError("corrupt spill frame: unknown codec id " +
-                           std::to_string(codec));
-  }
-  header.codec = static_cast<SpillCodec>(codec);
-  header.raw_len = ReadValue<uint32_t>(cursor);
-  header.comp_len = ReadValue<uint32_t>(cursor);
-  header.checksum = ReadValue<uint32_t>(cursor);
-  if (SpillFrameHeader::kSize + header.comp_len > size) {
-    return Status::IOError("corrupt spill frame: payload truncated");
-  }
-  return Status::OK();
-}
-
-Status DecompressSpillFrame(const_data_ptr_t data, idx_t size, data_ptr_t out,
-                            idx_t out_size) {
-  SpillFrameHeader header;
-  SSAGG_RETURN_NOT_OK(PeekSpillFrame(data, size, header));
-  if (header.raw_len != out_size) {
-    return Status::IOError("corrupt spill frame: raw length " +
-                           std::to_string(header.raw_len) +
-                           " does not match expected " +
-                           std::to_string(out_size));
-  }
-  const_data_ptr_t payload = data + SpillFrameHeader::kSize;
-  if (FrameChecksum(payload, header.comp_len) != header.checksum) {
-    return Status::IOError("corrupt spill frame: checksum mismatch");
-  }
-  switch (header.codec) {
-    case SpillCodec::kRaw:
-      if (header.comp_len != out_size) {
-        return Status::IOError("corrupt spill frame: raw payload length "
-                               "mismatch");
-      }
-      std::memcpy(out, payload, out_size);
-      return Status::OK();
-    case SpillCodec::kByteRle:
-      return ByteRleDecode(payload, header.comp_len, out, out_size);
-    case SpillCodec::kWordFor:
-      return WordForDecode(payload, header.comp_len, out, out_size);
-    case SpillCodec::kLz:
-      return LzDecode(payload, header.comp_len, out, out_size);
-  }
-  return Status::IOError("corrupt spill frame: unknown codec");
 }
 
 }  // namespace ssagg

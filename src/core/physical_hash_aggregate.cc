@@ -258,9 +258,6 @@ Status PhysicalHashAggregate::MergeCollectionInto(
   if (source.Count() == 0) {
     return Status::OK();
   }
-  // Warm spilled pages while the scan sets up; the scan itself prefetches
-  // one page ahead from then on.
-  source.PrefetchForScan(4);
   DataChunk layout_chunk(row_layout_.layout.Types());
   std::vector<data_ptr_t> src_rows(kVectorSize);
   TupleDataScanState scan;
@@ -365,7 +362,6 @@ Status PhysicalHashAggregate::AggregateInPlace(GroupedAggregateHashTable &ht,
 
   // Probe pass: gather only the group and hash columns, and hold every page
   // pinned (its string pointers recomputed once, here) until emission.
-  source.PrefetchForScan(4);
   DataChunk group_chunk(row_layout_.layout.Types());
   std::vector<data_ptr_t> rows(kVectorSize);
   TupleDataScanState scan;

@@ -373,16 +373,6 @@ void TupleDataCollection::InitScan(TupleDataScanState &state,
   current_heap_page_ = kInvalidIndex;
 }
 
-void TupleDataCollection::PrefetchForScan(idx_t pages) {
-  idx_t limit = std::min(pages, row_pages_.size());
-  for (idx_t p = 0; p < limit; p++) {
-    buffer_manager_.Prefetch(row_pages_[p].block);
-    for (auto &ref : row_pages_[p].heap_refs) {
-      buffer_manager_.Prefetch(heap_pages_[ref.heap_idx].block);
-    }
-  }
-}
-
 Status TupleDataCollection::PinPageForScan(TupleDataScanState &state) {
   state.heap_pins.clear();
   if (state.page_idx < state.held_pins.size() &&
@@ -393,16 +383,6 @@ Status TupleDataCollection::PinPageForScan(TupleDataScanState &state) {
     state.row_pin = std::move(held.row_pin);
     state.heap_pins.swap(held.heap_pins);
     return Status::OK();
-  }
-  // Read ahead: start an asynchronous load of the next page (and its heap
-  // pages) while this one is consumed. Best-effort — a no-op with the sync
-  // backend or when memory is tight.
-  idx_t next = state.page_idx + 1;
-  if (next < row_pages_.size()) {
-    buffer_manager_.Prefetch(row_pages_[next].block);
-    for (auto &ref : row_pages_[next].heap_refs) {
-      buffer_manager_.Prefetch(heap_pages_[ref.heap_idx].block);
-    }
   }
   return PinPageWithHeap(state.page_idx, state.row_pin, state.heap_pins);
 }

@@ -96,9 +96,6 @@ class TupleDataCollection {
   TupleDataCollection &operator=(const TupleDataCollection &) = delete;
   TupleDataCollection(TupleDataCollection &&) = default;
 
-  /// Destroys pages explicitly (rather than just dropping the handles):
-  /// DestroyBlock waits out in-flight prefetches, so by the time the
-  /// collection is gone, no read-ahead still holds memory or temp slots.
   ~TupleDataCollection() { Reset(); }
 
   const TupleDataLayout &layout() const { return layout_; }
@@ -133,11 +130,6 @@ class TupleDataCollection {
   /// Initializes a scan. If destroy_after_scan is set, pages are destroyed
   /// as soon as the scan moves past them.
   void InitScan(TupleDataScanState &state, bool destroy_after_scan = false);
-
-  /// Best-effort asynchronous read-ahead of the first `pages` row pages
-  /// (and their heap pages) before a scan, warming spilled data while the
-  /// caller sets up. A no-op with the sync backend or when memory is tight.
-  void PrefetchForScan(idx_t pages);
 
   /// Gathers up to kVectorSize rows of one page into `out` (which must
   /// match the layout column types). If `row_ptrs_out` is non-null it

@@ -28,7 +28,7 @@ struct QueryProfile {
 
   std::map<std::string, uint64_t> counters;
   std::map<std::string, double> timings;  // seconds, e.g. "exec.busy_seconds"
-  /// Per-query latency distributions (spill I/O, pin waits, morsel sinks,
+  /// Per-query latency distributions (spill I/O, eviction, morsel sinks,
   /// ...); ToJson emits count/p50/p90/p99/max per key under "histograms".
   std::map<std::string, HistogramSnapshot> histograms;
 

@@ -60,7 +60,7 @@ class QueryProgress {
                  static_cast<double>(estimated_total_rows);
       return f > 1.0 ? 1.0 : f;
     }
-    /// Per-query histogram deltas (spill latency, pin waits, ...) since
+    /// Per-query histogram deltas (spill latency, eviction, ...) since
     /// BeginQuery.
     std::map<std::string, HistogramSnapshot> histograms;
 

@@ -189,9 +189,7 @@ Status ExternalSortAggregate::SortAndSpill(LocalState &local) {
   idx_t run_id = next_run_id_.fetch_add(1);
   std::string path = config_.temp_directory + "/ssagg_sort_run_" +
                      run_token_ + "_" + std::to_string(run_id) + ".tmp";
-  RunWriter writer(run_layout_, path, buffer_manager_.fs(),
-                   &buffer_manager_.io_backend(),
-                   buffer_manager_.spill_compression());
+  RunWriter writer(run_layout_, path, buffer_manager_.fs());
   Status write_status = writer.Open();
   if (write_status.ok()) {
     for (data_ptr_t row : local.rows) {
@@ -276,8 +274,7 @@ Status ExternalSortAggregate::EmitResults(DataSink &output,
   Status status;  // first error; cleanup runs on all paths below
   for (idx_t i = 0; i < runs.size() && status.ok(); i++) {
     sources[i].reader = std::make_unique<RunReader>(
-        run_layout_, runs[i].path, runs[i].rows, buffer_manager_.fs(),
-        &buffer_manager_.io_backend());
+        run_layout_, runs[i].path, runs[i].rows, buffer_manager_.fs());
     sources[i].chunk.Initialize(run_layout_.Types());
     status = sources[i].reader->Open();
     if (status.ok()) {

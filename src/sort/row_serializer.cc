@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "common/string_type.h"
-#include "compression/codec.h"
 
 namespace ssagg {
 
@@ -32,13 +31,6 @@ idx_t RowHeapSize(const TupleDataLayout &layout, const_data_ptr_t row) {
 // RunWriter
 //===----------------------------------------------------------------------===//
 
-RunWriter::~RunWriter() {
-  // An aborted run may still have a write in flight referencing inflight_;
-  // the backend must be done with it before the buffer dies.
-  Status ignored = WaitPending();
-  (void)ignored;
-}
-
 Status RunWriter::Open() {
   FileOpenFlags flags;
   flags.read = true;
@@ -50,55 +42,19 @@ Status RunWriter::Open() {
   uint32_t magic = RunFileHeader::kMagic;
   std::memcpy(header, &magic, sizeof(magic));
   header[4] = RunFileHeader::kVersion;
-  header[5] = compress_ ? RunFileHeader::kFlagCompressed : 0;
   SSAGG_RETURN_NOT_OK(file_->Write(header, RunFileHeader::kSize, 0));
   bytes_ = RunFileHeader::kSize;
   buffer_.reserve(kIOBufferSize);
   return Status::OK();
 }
 
-Status RunWriter::WaitPending() {
-  if (!pending_) {
-    return Status::OK();
-  }
-  Status status = pending_->Wait();
-  pending_.reset();
-  return status;
-}
-
 Status RunWriter::FlushBuffer() {
   if (buffer_.empty()) {
     return Status::OK();
   }
-  raw_bytes_ += buffer_.size();
-  std::vector<data_t> payload;
-  if (compress_) {
-    // One spill frame per flushed buffer: self-describing, so the reader
-    // needs no out-of-band sizes (worst case the frame stores raw bytes).
-    CompressSpillFrame(buffer_.data(), buffer_.size(), payload);
-    buffer_.clear();
-  } else {
-    payload = std::move(buffer_);
-    buffer_ = std::vector<data_t>();
-  }
-  buffer_.reserve(kIOBufferSize);
-  if (io_backend_ != nullptr) {
-    // Double buffering: wait for the previous write (its buffer is about to
-    // be replaced), then hand this payload to the backend and keep filling.
-    SSAGG_RETURN_NOT_OK(WaitPending());
-    inflight_ = std::move(payload);
-    IoRequest request;
-    request.kind = IoRequest::Kind::kWrite;
-    request.file = file_.get();
-    request.buffer = inflight_.data();
-    request.bytes = inflight_.size();
-    request.offset = bytes_;
-    pending_ = io_backend_->Submit(std::move(request));
-    bytes_ += inflight_.size();
-    return Status::OK();
-  }
-  SSAGG_RETURN_NOT_OK(file_->Write(payload.data(), payload.size(), bytes_));
-  bytes_ += payload.size();
+  SSAGG_RETURN_NOT_OK(file_->Write(buffer_.data(), buffer_.size(), bytes_));
+  bytes_ += buffer_.size();
+  buffer_.clear();
   return Status::OK();
 }
 
@@ -127,16 +83,11 @@ Status RunWriter::WriteRow(const_data_ptr_t row) {
   return Status::OK();
 }
 
-Status RunWriter::Finish() {
-  SSAGG_RETURN_NOT_OK(FlushBuffer());
-  return WaitPending();
-}
+Status RunWriter::Finish() { return FlushBuffer(); }
 
 //===----------------------------------------------------------------------===//
 // RunReader
 //===----------------------------------------------------------------------===//
-
-RunReader::~RunReader() { DrainReadAhead(); }
 
 Status RunReader::Open() {
   FileOpenFlags flags;
@@ -153,64 +104,10 @@ Status RunReader::Open() {
       header[4] != RunFileHeader::kVersion) {
     return Status::IOError("run file has an unknown header: " + path_);
   }
-  compressed_ = (header[5] & RunFileHeader::kFlagCompressed) != 0;
   file_offset_ = RunFileHeader::kSize;
   buffer_.reserve(kIOBufferSize);
   buffer_pos_ = 0;
   buffer_end_ = 0;
-  MaybeSubmitReadAhead();
-  return Status::OK();
-}
-
-void RunReader::MaybeSubmitReadAhead() {
-  if (io_backend_ == nullptr || ahead_done_ || file_offset_ >= file_size_) {
-    return;
-  }
-  ahead_bytes_ = std::min(kIOBufferSize, file_size_ - file_offset_);
-  ahead_.resize(ahead_bytes_);
-  IoRequest request;
-  request.kind = IoRequest::Kind::kRead;
-  request.file = file_.get();
-  request.buffer = ahead_.data();
-  request.bytes = ahead_bytes_;
-  request.offset = file_offset_;
-  file_offset_ += ahead_bytes_;
-  ahead_done_ = io_backend_->Submit(std::move(request));
-}
-
-void RunReader::DrainReadAhead() {
-  if (ahead_done_) {
-    // The buffer must stay alive until the backend is done with it; the
-    // result no longer matters.
-    Status ignored = ahead_done_->Wait();
-    (void)ignored;
-    ahead_done_.reset();
-  }
-}
-
-Status RunReader::AppendChunk(std::vector<data_t> &dest, idx_t &dest_end) {
-  idx_t chunk = 0;
-  if (ahead_done_) {
-    // Consume the chunk that was read while the previous one was parsed.
-    Status status = ahead_done_->Wait();
-    ahead_done_.reset();
-    SSAGG_RETURN_NOT_OK(status);
-    dest.resize(dest_end + ahead_bytes_);
-    std::memcpy(dest.data() + dest_end, ahead_.data(), ahead_bytes_);
-    chunk = ahead_bytes_;
-  } else {
-    idx_t want = std::min(kIOBufferSize, file_size_ - file_offset_);
-    if (want == 0) {
-      return Status::IOError("run file truncated: " + path_);
-    }
-    dest.resize(dest_end + want);
-    SSAGG_RETURN_NOT_OK(
-        file_->Read(dest.data() + dest_end, want, file_offset_));
-    file_offset_ += want;
-    chunk = want;
-  }
-  dest_end += chunk;
-  MaybeSubmitReadAhead();
   return Status::OK();
 }
 
@@ -222,53 +119,16 @@ Status RunReader::FillBuffer(idx_t at_least) {
   }
   buffer_pos_ = 0;
   buffer_end_ = unread;
-  if (buffer_.size() < buffer_end_) {
-    buffer_.resize(buffer_end_);
-  }
-  if (!compressed_) {
-    while (buffer_end_ < at_least) {
-      SSAGG_RETURN_NOT_OK(AppendChunk(buffer_, buffer_end_));
-    }
-    return Status::OK();
-  }
-  // Compressed: decode whole frames out of the raw file stream until enough
-  // row bytes are buffered.
   while (buffer_end_ < at_least) {
-    // Buffer the frame header, then the whole frame.
-    SpillFrameHeader frame;
-    while (true) {
-      idx_t avail = fbuf_end_ - fbuf_pos_;
-      if (avail >= SpillFrameHeader::kSize) {
-        // The frame may extend past the buffered bytes; validate the header
-        // against everything the file can still provide (unsubmitted bytes
-        // plus the read-ahead in flight), not just what is buffered.
-        idx_t possible = avail + (file_size_ - file_offset_) +
-                         (ahead_done_ ? ahead_bytes_ : 0);
-        Status peek =
-            PeekSpillFrame(fbuf_.data() + fbuf_pos_, possible, frame);
-        if (!peek.ok()) {
-          return Status::IOError("run file " + path_ +
-                                 ": bad spill frame: " + peek.ToString());
-        }
-        if (avail >= SpillFrameHeader::kSize + frame.comp_len) {
-          break;
-        }
-      }
-      // Compact and append the next chunk.
-      if (fbuf_pos_ > 0) {
-        std::memmove(fbuf_.data(), fbuf_.data() + fbuf_pos_,
-                     fbuf_end_ - fbuf_pos_);
-        fbuf_end_ -= fbuf_pos_;
-        fbuf_pos_ = 0;
-      }
-      SSAGG_RETURN_NOT_OK(AppendChunk(fbuf_, fbuf_end_));
+    idx_t want = std::min(kIOBufferSize, file_size_ - file_offset_);
+    if (want == 0) {
+      return Status::IOError("run file truncated: " + path_);
     }
-    buffer_.resize(buffer_end_ + frame.raw_len);
-    SSAGG_RETURN_NOT_OK(DecompressSpillFrame(
-        fbuf_.data() + fbuf_pos_, fbuf_end_ - fbuf_pos_,
-        buffer_.data() + buffer_end_, frame.raw_len));
-    buffer_end_ += frame.raw_len;
-    fbuf_pos_ += SpillFrameHeader::kSize + frame.comp_len;
+    buffer_.resize(buffer_end_ + want);
+    SSAGG_RETURN_NOT_OK(
+        file_->Read(buffer_.data() + buffer_end_, want, file_offset_));
+    file_offset_ += want;
+    buffer_end_ += want;
   }
   return Status::OK();
 }
@@ -346,7 +206,6 @@ void RunReader::GatherBatch(const std::vector<data_ptr_t> &rows,
 }
 
 Status RunReader::Remove() {
-  DrainReadAhead();
   file_.reset();
   return fs_.RemoveFile(path_);
 }

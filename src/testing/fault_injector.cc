@@ -24,12 +24,6 @@ const char *FaultSiteName(FaultSite site) {
       return "allocate";
     case FaultSite::kPin:
       return "pin";
-    case FaultSite::kAsyncSubmit:
-      return "async_submit";
-    case FaultSite::kAsyncComplete:
-      return "async_complete";
-    case FaultSite::kAsyncCoalesce:
-      return "async_coalesce";
     case FaultSite::kGrant:
       return "grant";
     case FaultSite::kSiteCount:

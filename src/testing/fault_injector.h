@@ -20,16 +20,9 @@ enum class FaultSite : uint8_t {
   kAllocate,  // BufferManager memory reservation (Allocate / non-paged /
               // external / the reservation half of a reloading Pin)
   kPin,       // BufferManager::Pin entry
-  // Async spill I/O sites, hit by the AsyncIoBackend implementations
-  // (common/async_io.h) when an injector is installed on them:
-  kAsyncSubmit,    // AsyncIoBackend::Submit entry (fails before any I/O)
-  kAsyncComplete,  // completion of a submitted request (fails a successful
-                   // I/O after the fact, on the completing thread)
-  kAsyncCoalesce,  // TemporaryFileManager merging adjacent slots into one
-                   // coalesced write (fails the merged submission)
-  kGrant,          // MemoryGrantPool acquire / grow (multi-tenant admission):
-                   // an injected fault refuses the grant operation, which the
-                   // caller degrades to spilling or queueing, never a crash
+  kGrant,     // MemoryGrantPool acquire / grow (multi-tenant admission): an
+              // injected fault refuses the grant operation, which the caller
+              // degrades to spilling or queueing, never a crash
   kSiteCount,
 };
 
@@ -50,15 +43,7 @@ constexpr uint32_t kFaultMemorySites = FaultSiteBit(FaultSite::kAllocate) |
                                        FaultSiteBit(FaultSite::kPin) |
                                        FaultSiteBit(FaultSite::kGrant);
 
-/// The asynchronous spill-I/O pipeline (submit, completion, coalesced
-/// writes). Separate from kFaultIoSites so sweeps can target just the async
-/// machinery without also failing the underlying pread/pwrite.
-constexpr uint32_t kFaultAsyncSites = FaultSiteBit(FaultSite::kAsyncSubmit) |
-                                      FaultSiteBit(FaultSite::kAsyncComplete) |
-                                      FaultSiteBit(FaultSite::kAsyncCoalesce);
-
 constexpr uint32_t kFaultAllSites = kFaultIoSites | kFaultMemorySites |
-                                    kFaultAsyncSites |
                                     FaultSiteBit(FaultSite::kRemove);
 
 /// Deterministic fault injector. One injector is shared between a

@@ -105,6 +105,60 @@ TEST_F(BufferManagerTest, EvictionSpillsAndReloads) {
   }
 }
 
+TEST_F(BufferManagerTest, SpillQuotaSkipsAGrantedPageAndEvictsAnother) {
+  // Room for 3 pages: two granted ones and an ungranted one, all unpinned
+  // in that (LRU) order. The grant may keep one page in temporary files.
+  BufferManager bm(temp_dir_, 3 * kPageSize);
+  MemoryGrantPool pool(16 * kPageSize);
+  auto acquired = pool.TryAcquire(4 * kPageSize, /*floor=*/0,
+                                  /*spill_quota=*/kPageSize);
+  ASSERT_TRUE(acquired.ok());
+  MemoryGrant grant = acquired.MoveValue();
+  GrantState &state = *grant.state();
+  std::shared_ptr<BlockHandle> first, second, ungranted;
+  {
+    GrantScope scope(&state);
+    ASSERT_TRUE(bm.Allocate(kPageSize, &first).ok());
+    ASSERT_TRUE(bm.Allocate(kPageSize, &second).ok());
+  }
+  ASSERT_TRUE(bm.Allocate(kPageSize, &ungranted).ok());
+  EXPECT_EQ(state.used(), 2 * kPageSize);
+
+  // The first eviction spills the first granted page, filling the quota.
+  std::shared_ptr<BlockHandle> fourth, fifth;
+  auto h4 = bm.Allocate(kPageSize, &fourth);
+  ASSERT_TRUE(h4.ok()) << h4.status().ToString();
+  EXPECT_EQ(bm.temp_files().UsedSlots(), 1u);
+  EXPECT_EQ(state.spilled(), kPageSize);
+  EXPECT_EQ(state.used(), kPageSize);
+
+  // The second granted page is out of quota: the scan passes over it and
+  // spills the ungranted page instead.
+  auto h5 = bm.Allocate(kPageSize, &fifth);
+  ASSERT_TRUE(h5.ok()) << h5.status().ToString();
+  EXPECT_EQ(bm.temp_files().UsedSlots(), 2u);
+  EXPECT_EQ(state.spilled(), kPageSize);
+  EXPECT_EQ(state.used(), kPageSize);
+  EXPECT_EQ(bm.Snapshot().evicted_temporary_count, 2u);
+  {
+    auto pin = bm.Pin(second);
+    ASSERT_TRUE(pin.ok()) << pin.status().ToString();
+  }
+  EXPECT_EQ(bm.Snapshot().temp_reads, 0u) << "the skipped page was reloaded";
+
+  h4.MoveValue().Reset();
+  h5.MoveValue().Reset();
+  first.reset();
+  second.reset();
+  ungranted.reset();
+  fourth.reset();
+  fifth.reset();
+  EXPECT_EQ(bm.temp_files().UsedSlots(), 0u);
+  EXPECT_EQ(state.spilled(), 0u);
+  EXPECT_EQ(state.used(), 0u);
+  EXPECT_EQ(bm.memory_used(), 0u);
+}
+
 TEST_F(BufferManagerTest, PinnedPagesCannotBeEvicted) {
   BufferManager bm(temp_dir_, 2 * kPageSize);
   std::shared_ptr<BlockHandle> b0, b1, b2;

@@ -321,146 +321,5 @@ TEST(CodecTest, CopyDecodedRowsHonorsOffset) {
   }
 }
 
-//===----------------------------------------------------------------------===//
-// Spill frames: roundtrips and hardening against corrupt input
-//===----------------------------------------------------------------------===//
-
-std::vector<data_t> PatternPayload(idx_t size, int pattern) {
-  std::vector<data_t> payload(size);
-  switch (pattern) {
-    case 0:  // all zeros: best case for byte-RLE
-      break;
-    case 1:  // small-delta 64-bit words: word-FoR territory
-      for (idx_t i = 0; i + sizeof(uint64_t) <= size; i += sizeof(uint64_t)) {
-        uint64_t word = 5000000 + (i / sizeof(uint64_t)) % 1000;
-        std::memcpy(payload.data() + i, &word, sizeof(word));
-      }
-      break;
-    default: {  // pseudo-random: incompressible, must fall back to raw
-      uint64_t state = 0xDEADBEEFCAFEF00DULL + pattern;
-      for (idx_t i = 0; i < size; i++) {
-        state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-        payload[i] = static_cast<data_t>(state >> 33);
-      }
-      break;
-    }
-  }
-  return payload;
-}
-
-TEST(SpillFrameTest, RoundtripAcrossPatternsAndSizes) {
-  for (int pattern = 0; pattern < 3; pattern++) {
-    for (idx_t size : {idx_t(1), idx_t(7), idx_t(4096), idx_t(65536),
-                       idx_t(65543)}) {
-      std::vector<data_t> payload = PatternPayload(size, pattern);
-      std::vector<data_t> frame;
-      CompressSpillFrame(payload.data(), size, frame);
-      ASSERT_GE(frame.size(), SpillFrameHeader::kSize);
-      // Never worse than raw + header.
-      ASSERT_LE(frame.size(), size + SpillFrameHeader::kSize);
-      SpillFrameHeader header;
-      ASSERT_TRUE(PeekSpillFrame(frame.data(), frame.size(), header).ok());
-      ASSERT_EQ(header.raw_len, size);
-      std::vector<data_t> out(size, 0xCC);
-      ASSERT_TRUE(
-          DecompressSpillFrame(frame.data(), frame.size(), out.data(), size)
-              .ok())
-          << "pattern " << pattern << " size " << size;
-      ASSERT_EQ(std::memcmp(out.data(), payload.data(), size), 0);
-    }
-  }
-}
-
-TEST(SpillFrameTest, CompressiblePayloadShrinks) {
-  std::vector<data_t> payload = PatternPayload(65536, 0);
-  std::vector<data_t> frame;
-  CompressSpillFrame(payload.data(), payload.size(), frame);
-  EXPECT_LT(frame.size(), payload.size() / 2);
-}
-
-TEST(SpillFrameTest, TruncatedHeaderIsCleanError) {
-  std::vector<data_t> payload = PatternPayload(4096, 1);
-  std::vector<data_t> frame;
-  CompressSpillFrame(payload.data(), payload.size(), frame);
-  std::vector<data_t> out(4096);
-  for (idx_t keep = 0; keep < SpillFrameHeader::kSize; keep++) {
-    SpillFrameHeader header;
-    EXPECT_FALSE(PeekSpillFrame(frame.data(), keep, header).ok());
-    EXPECT_FALSE(
-        DecompressSpillFrame(frame.data(), keep, out.data(), 4096).ok());
-  }
-}
-
-TEST(SpillFrameTest, TruncatedPayloadIsCleanError) {
-  std::vector<data_t> payload = PatternPayload(4096, 1);
-  std::vector<data_t> frame;
-  CompressSpillFrame(payload.data(), payload.size(), frame);
-  std::vector<data_t> out(4096);
-  for (idx_t cut = 1; cut <= 16; cut++) {
-    ASSERT_GT(frame.size(), cut);
-    EXPECT_FALSE(DecompressSpillFrame(frame.data(), frame.size() - cut,
-                                      out.data(), 4096)
-                     .ok());
-  }
-}
-
-TEST(SpillFrameTest, WrongOutputLengthIsCleanError) {
-  std::vector<data_t> payload = PatternPayload(4096, 0);
-  std::vector<data_t> frame;
-  CompressSpillFrame(payload.data(), payload.size(), frame);
-  std::vector<data_t> out(8192);
-  EXPECT_FALSE(
-      DecompressSpillFrame(frame.data(), frame.size(), out.data(), 4095).ok());
-  EXPECT_FALSE(
-      DecompressSpillFrame(frame.data(), frame.size(), out.data(), 8192).ok());
-}
-
-TEST(SpillFrameTest, EveryByteFlipFailsCleanlyOrDecodesIdentically) {
-  // Flip every byte of the frame (header and payload) one at a time. Each
-  // corruption must either be rejected with a clean Status or decode to the
-  // exact original bytes (flips in ignored header fields) — never crash,
-  // never silently return different data.
-  for (int pattern = 0; pattern < 3; pattern++) {
-    std::vector<data_t> payload = PatternPayload(512, pattern);
-    std::vector<data_t> frame;
-    CompressSpillFrame(payload.data(), payload.size(), frame);
-    for (idx_t i = 0; i < frame.size(); i++) {
-      std::vector<data_t> corrupt = frame;
-      corrupt[i] ^= 0xFF;
-      std::vector<data_t> out(payload.size(), 0xCC);
-      Status status = DecompressSpillFrame(corrupt.data(), corrupt.size(),
-                                           out.data(), payload.size());
-      if (status.ok()) {
-        EXPECT_EQ(std::memcmp(out.data(), payload.data(), payload.size()), 0)
-            << "silent corruption at byte " << i << " pattern " << pattern;
-      }
-    }
-  }
-}
-
-TEST(SpillFrameTest, OversizedCompLenIsCleanError) {
-  std::vector<data_t> payload = PatternPayload(4096, 0);
-  std::vector<data_t> frame;
-  CompressSpillFrame(payload.data(), payload.size(), frame);
-  // comp_len lives at header bytes [12, 16); claim far more payload than the
-  // buffer holds.
-  uint32_t huge = 0x7FFFFFFF;
-  std::memcpy(frame.data() + 12, &huge, sizeof(huge));
-  SpillFrameHeader header;
-  EXPECT_FALSE(PeekSpillFrame(frame.data(), frame.size(), header).ok());
-  std::vector<data_t> out(4096);
-  EXPECT_FALSE(
-      DecompressSpillFrame(frame.data(), frame.size(), out.data(), 4096).ok());
-}
-
-TEST(SpillFrameTest, BadMagicIsCleanError) {
-  std::vector<data_t> payload = PatternPayload(1024, 0);
-  std::vector<data_t> frame;
-  CompressSpillFrame(payload.data(), payload.size(), frame);
-  frame[0] ^= 0x01;
-  SpillFrameHeader header;
-  EXPECT_FALSE(PeekSpillFrame(frame.data(), frame.size(), header).ok());
-}
-
 }  // namespace
 }  // namespace ssagg

@@ -311,10 +311,7 @@ TEST_F(BufferManagerFaultTest, FailedSpillWriteLeavesNoLeakedSlots) {
   third.reset();
   auto retried = bm.Allocate(kPageSize, &third);
   ASSERT_TRUE(retried.ok()) << retried.status().ToString();
-  // Async backends over-evict (spill_batch > 1 writes both unpinned pages in
-  // one overlapped batch), so at least one but at most two slots are in use.
-  EXPECT_GE(bm.temp_files().UsedSlots(), 1u);
-  EXPECT_LE(bm.temp_files().UsedSlots(), 2u);
+  EXPECT_EQ(bm.temp_files().UsedSlots(), 1u);
   retried.MoveValue().Reset();
   handles.clear();
   third.reset();
@@ -339,8 +336,7 @@ TEST_F(BufferManagerFaultTest, FailedReloadReadKeepsSpillStateReclaimable) {
   auto f = bm.Allocate(kPageSize, &filler);
   ASSERT_TRUE(f.ok());
   f.MoveValue().Reset();
-  // >= because async backends over-evict: the batch may spill both pages.
-  ASSERT_GE(bm.temp_files().UsedSlots(), 1u);
+  ASSERT_EQ(bm.temp_files().UsedSlots(), 1u);
 
   FaultInjector::Config config;
   config.fail_at = 1;
@@ -527,14 +523,6 @@ TEST_F(FaultSweepTest, EveryAllocationFailureDegradesToCleanStatus) {
 
 TEST_F(FaultSweepTest, CombinedIoAndMemorySweep) {
   Sweep(kFaultIoSites | kFaultMemorySites, "all");
-}
-
-// The async spill pipeline's own sites (submit, completion, coalesced
-// writes). Every backend hits submit/complete — the sync backend inline,
-// the async ones from their worker threads — so this sweep is meaningful
-// under every SSAGG_IO_BACKEND setting the suite runs with.
-TEST_F(FaultSweepTest, EveryAsyncIoFailureDegradesToCleanStatus) {
-  Sweep(kFaultAsyncSites, "async");
 }
 
 //===----------------------------------------------------------------------===//

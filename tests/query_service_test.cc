@@ -119,11 +119,9 @@ TEST(MemoryGrantPoolTest, SpillQuotaGatesAndTracksLogicalBytes) {
   MemoryGrant grant = acquired.MoveValue();
   GrantState &state = *grant.state();
 
-  EXPECT_TRUE(state.CanSpill(kPageSize));
   EXPECT_TRUE(state.TryChargeSpill(kPageSize));
   EXPECT_TRUE(state.TryChargeSpill(kPageSize));
   EXPECT_EQ(state.spilled(), 2 * kPageSize);
-  EXPECT_FALSE(state.CanSpill(kPageSize));
   EXPECT_FALSE(state.TryChargeSpill(kPageSize));
   // A refused charge changed nothing; reclaiming spilled bytes reopens it.
   EXPECT_EQ(state.spilled(), 2 * kPageSize);
