@@ -10,7 +10,9 @@
 // and the adaptive run must track it (its sampling overhead is the gap).
 // The adaptive column also reports which strategy was picked, the
 // planner's cardinality estimate — drift against the truth column is a
-// calibration bug — and the thread count the cost models priced with.
+// calibration bug — and the thread count its memory gate counted. The
+// 5k-40k points sit where the retired cost models once picked radix
+// although the central tables fit.
 //
 // Env: SSAGG_BENCH_MAX_GROUPS caps the group axis (default 10M);
 // SSAGG_BENCH_THREADS / SSAGG_BENCH_TMPDIR as usual. Writes
@@ -147,8 +149,8 @@ int main() {
   idx_t max_groups = EnvIdx("SSAGG_BENCH_MAX_GROUPS", 10'000'000);
   (void)FileSystem::Default().CreateDirectories(options.temp_dir);
 
-  std::vector<idx_t> group_counts = {10, 1'000, 100'000, 1'000'000,
-                                     10'000'000};
+  std::vector<idx_t> group_counts = {10,     1'000,   5'000,     10'000,
+                                     40'000, 100'000, 1'000'000, 10'000'000};
   const std::vector<AggregateStrategy> forced = {
       AggregateStrategy::kCentralMerge, AggregateStrategy::kRadixMerge};
 
@@ -159,7 +161,7 @@ int main() {
   std::vector<int> widths = {7, 9, 8, 10, 10, 10, 9, 12, 9};
   PrintRule(widths);
   PrintRow({"dist", "groups", "rows M", "central s", "radix s", "adapt s",
-            "picked", "est groups", "priced T"},
+            "picked", "est groups", "gate T"},
            widths);
   PrintRule(widths);
 
@@ -199,7 +201,7 @@ int main() {
     }
   }
   PrintRule(widths);
-  std::printf("\n'picked' / 'est groups' / 'priced T' come from the "
+  std::printf("\n'picked' / 'est groups' / 'gate T' come from the "
               "adaptive run's planner\ndecision; the forced columns share "
               "the same data and configuration. Adaptive\nshould track the "
               "per-row winner, paying only the sampling window.\n");

@@ -27,7 +27,10 @@
 # JSON. The central run must also show that its phase 2 ran partition-wise,
 # that sizing its thread tables at the decision neither resized nor reset
 # them, and that the sizing kept the sampled groups (at most one row per
-# group and thread reaches phase 2).
+# group and thread reaches phase 2). A third query, l_partkey at SF 16 on
+# one thread (32,000 groups), must pick central, arm the direct index and
+# serve rows from it: the index warms up over a dense span wider than one
+# chunk's keys.
 #
 # Copy guard: the radix run of the strategy smoke and the spilling run of
 # the profile smoke group unique input, so phase 2 must take every
@@ -143,7 +146,7 @@ EOF
 
 strategy_smoke() {
   local dir="$1"
-  echo "=== strategy smoke (planner picks central at ~4 groups, radix at ~1M) ==="
+  echo "=== strategy smoke (planner picks central at ~4 and 32k groups, radix at ~1M) ==="
   local work
   work=$(mktemp -d)
   # Grouping 1 (returnflag/linestatus): 4 groups -> central merge.
@@ -155,11 +158,17 @@ strategy_smoke() {
       SSAGG_BENCH_PHASE1_CAPACITY=131072 \
       "$OLDPWD/$dir/bench/bench_single_query" 18 thin 13 du)
   mv "$work/results/bench_single_query.json" "$work/high.json"
+  # Grouping 6 (l_partkey) at SF 16: 32,000 dense keys -> central merge with
+  # the direct index.
+  (cd "$work" && SSAGG_BENCH_THREADS=1 SSAGG_BENCH_TMPDIR="$work/tmp" \
+      "$OLDPWD/$dir/bench/bench_single_query" 16 thin 6 du)
+  mv "$work/results/bench_single_query.json" "$work/dense.json"
   python3 - "$work" <<'EOF'
 import json, sys
 work = sys.argv[1]
 # AggregateStrategy enum values: 1 central, 3 radix.
-for name, expected, label in (("low", 1, "central"), ("high", 3, "radix")):
+for name, expected, label in (("low", 1, "central"), ("high", 3, "radix"),
+                              ("dense", 1, "central")):
     with open(f"{work}/{name}.json") as f:
         doc = json.load(f)
     counters = doc["result"]["profile"]["counters"]
@@ -203,6 +212,13 @@ for name, expected, label in (("low", 1, "central"), ("high", 3, "radix")):
         assert bypass == 1 and bypassed > 0 and resets == 0, \
             f"radix run read phase1_bypass {bypass}, {bypassed} bypassed " \
             f"rows and {resets} resets"
+    if name == "dense":
+        # The direct index survives its warmup: fallback chunks that cache
+        # new keys do not count toward dropping it.
+        direct = counters.get("agg.direct_index")
+        hits = counters.get("agg.direct_hit_rows", 0)
+        assert direct == 1 and hits > 0, \
+            f"dense run read direct_index {direct} and {hits} direct hits"
     print(f"strategy smoke ok [{name}]: chose {label}, "
           f"estimated {estimated} groups")
 EOF

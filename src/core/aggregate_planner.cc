@@ -1,6 +1,7 @@
 #include "core/aggregate_planner.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -12,14 +13,6 @@
 namespace ssagg {
 
 namespace {
-
-idx_t NextPowerOfTwo(idx_t v) {
-  idx_t p = 1;
-  while (p < v) {
-    p <<= 1;
-  }
-  return p;
-}
 
 /// Inverts the uniform-occupancy expectation d = D * (1 - exp(-m/D)) for D:
 /// with m sampled rows drawn from D equally likely groups, d is the
@@ -140,88 +133,6 @@ double HllEstimator::Estimate() const {
   return estimate;
 }
 
-namespace {
-
-double Phase1ProbeSeconds(const PlannerInputs &in, const AggregateCostModel &m,
-                          double footprint_bytes) {
-  const double rows = in.total_rows != kInvalidIndex
-                          ? static_cast<double>(in.total_rows)
-                          : static_cast<double>(in.sampled_rows);
-  const double threads = static_cast<double>(std::max<idx_t>(1, in.threads));
-  return rows * m.ProbeNs(footprint_bytes) / threads * 1e-9;
-}
-
-/// Footprint of a right-sized central thread table: entry array plus
-/// the group rows themselves (they are revisited on every combine).
-double LocalTableFootprint(const PlannerInputs &in) {
-  double entries =
-      static_cast<double>(NextPowerOfTwo(static_cast<idx_t>(
-          std::max(1024.0, 4.0 * in.estimated_groups)))) *
-      8.0;
-  return entries + in.estimated_groups *
-                       static_cast<double>(in.row_width_bytes);
-}
-
-double EmitSeconds(const PlannerInputs &in, const AggregateCostModel &m) {
-  const double threads = static_cast<double>(std::max<idx_t>(1, in.threads));
-  const double emit_par =
-      std::min(threads, static_cast<double>(std::max<idx_t>(
-                            1, in.radix_partitions)));
-  return (in.estimated_groups * m.emit_row_ns / emit_par +
-          emit_par * m.task_ns) *
-         1e-9;
-}
-
-}  // namespace
-
-double CentralMergeCost(const PlannerInputs &in, const AggregateCostModel &m) {
-  const double threads = static_cast<double>(std::max<idx_t>(1, in.threads));
-  double seconds = Phase1ProbeSeconds(in, m, LocalTableFootprint(in));
-  // T-1 sequential merges of ~D rows each, on one thread (the retired
-  // central phase 2; see the header).
-  seconds += (threads - 1) * in.estimated_groups * m.merge_row_ns * 1e-9;
-  seconds += threads * m.table_setup_ns * 1e-9;
-  return seconds + EmitSeconds(in, m);
-}
-
-double RadixMergeCost(const PlannerInputs &in, const AggregateCostModel &m) {
-  const double threads = static_cast<double>(std::max<idx_t>(1, in.threads));
-  const double rows = in.total_rows != kInvalidIndex
-                          ? static_cast<double>(in.total_rows)
-                          : static_cast<double>(in.sampled_rows);
-  const double fill_capacity =
-      static_cast<double>(in.phase1_capacity) * in.reset_fill_ratio;
-  // Live entry lines + the working set of group rows actually touched.
-  double footprint =
-      std::min(4.0 * in.estimated_groups,
-               static_cast<double>(in.phase1_capacity)) *
-          8.0 +
-      std::min(in.estimated_groups, fill_capacity) *
-          static_cast<double>(in.row_width_bytes);
-  double seconds = Phase1ProbeSeconds(in, m, footprint);
-  // Rows materialized into partitions: every thread emits each of its
-  // groups at least once; as the group set approaches and passes the reset
-  // threshold the fixed table starts thrashing and re-materializes at the
-  // sampled rows-per-group rate. The risk ramps in from half fill (LRU-less
-  // resets evict hot groups well before the table is nominally full) to
-  // full thrash at 1.5x fill, instead of the old all-or-nothing step at
-  // exactly fill_capacity that let borderline group counts score radix as
-  // thrash-free.
-  double materialized = threads * in.estimated_groups;
-  const double risk =
-      std::min(1.0, in.estimated_groups / fill_capacity - 0.5);
-  if (risk > 0.0) {
-    materialized = std::max(
-        materialized, risk * rows / std::max(1.0, in.reduction_ratio));
-  }
-  materialized = std::min(materialized, rows);
-  const double partitions =
-      static_cast<double>(std::max<idx_t>(1, in.radix_partitions));
-  seconds += materialized * m.merge_row_ns / threads * 1e-9;
-  seconds += partitions * (m.task_ns + m.table_setup_ns) * 1e-9;
-  return seconds + EmitSeconds(in, m);
-}
-
 AggregatePlanner::AggregatePlanner(Options options, MetricsRegistry &registry)
     : options_(options),
       registry_(registry),
@@ -282,68 +193,59 @@ void AggregatePlanner::EnsureDecided() {
 
 void AggregatePlanner::DecideLocked() {
   TraceSpan span("planner.decide", "agg", observed_rows_);
-  PlannerInputs in;
-  in.threads = std::max<idx_t>(1, threads_.load(std::memory_order_relaxed));
-  in.total_rows = options_.total_rows;
-  in.sampled_rows = observed_rows_;
-  in.phase1_capacity = options_.phase1_capacity;
-  in.radix_partitions = options_.radix_partitions;
-  in.row_width_bytes = options_.row_width_bytes;
-  in.memory_limit_bytes = options_.memory_limit_bytes;
-  in.reset_fill_ratio = options_.reset_fill_ratio;
-
-  double sample_distinct =
+  const double sample_distinct =
       std::min(static_cast<double>(std::max<idx_t>(1, observed_rows_)),
                std::max(1.0, hll_.Estimate()));
   bool saturated = false;
-  in.estimated_groups =
+  const double groups =
       std::max(1.0, ExtrapolateGroups(static_cast<double>(observed_rows_),
                                       sample_distinct, options_.total_rows,
                                       &saturated));
-  in.reduction_ratio =
-      static_cast<double>(std::max<idx_t>(1, observed_rows_)) /
-      sample_distinct;
 
   PlannerDecision d;
-  d.estimated_groups = static_cast<idx_t>(in.estimated_groups);
-  d.reduction_ratio = in.reduction_ratio;
+  d.estimated_groups = static_cast<idx_t>(groups);
+  d.reduction_ratio =
+      static_cast<double>(std::max<idx_t>(1, observed_rows_)) /
+      sample_distinct;
   d.sampled_rows = observed_rows_;
-  d.threads = in.threads;
-  d.central_cost = CentralMergeCost(in, options_.cost_model);
-  d.radix_cost = RadixMergeCost(in, options_.cost_model);
+  d.threads = std::max<idx_t>(1, threads_.load(std::memory_order_relaxed));
+  // Room for the estimate plus one all-new chunk below the fill ratio, as
+  // phase-2 tables get: the probe round's grow check reserves a whole chunk,
+  // so a table without that room doubles on its first chunk.
+  const double chunk_headroom =
+      (groups + static_cast<double>(kVectorSize)) / kHashTableResetFillRatio +
+      1;
+  // At least 4 slots per group, and 8 up to the default phase-1 table's
+  // size: such a table still fits the L2 cache, and the lower fill saves
+  // probe steps (EXPERIMENTS.md, "plan by fit").
+  const double slots = std::max(
+      4.0 * groups,
+      std::min(8.0 * groups, static_cast<double>(kPhase1HashTableCapacity)));
+  d.local_table_capacity = std::bit_ceil(static_cast<idx_t>(
+      std::min(std::max(chunk_headroom, slots), std::ldexp(1.0, 22))));
 
-  // Hard gates before the cost comparison: central keeps ~D fully
-  // aggregated rows per thread pinned in resizable tables, so it is only
-  // admissible when that provably fits. Radix is the only strategy whose
-  // footprint does not scale with cardinality (the paper's robustness
-  // argument), so everything uncertain lands there.
+  // The plans differ only in that capacity, so central is the right plan
+  // exactly when its tables fit (paper section V): the estimate must be
+  // trustworthy (an unsaturated sample, at most 2^21 groups), and every
+  // thread's table, the entry array Presize allocates plus a row per group,
+  // must fit in a quarter of the memory limit. Everything else runs radix,
+  // the only plan whose footprint does not scale with cardinality.
   constexpr idx_t kMaxCentralGroups = idx_t{1} << 21;
-  const double local_bytes =
-      static_cast<double>(in.threads) * LocalTableFootprint(in);
-  bool admissible =
-      !saturated && in.estimated_groups <= kMaxCentralGroups &&
+  const double table_bytes =
+      static_cast<double>(d.local_table_capacity * sizeof(uint64_t)) +
+      groups * static_cast<double>(options_.row_width_bytes);
+  const bool fits =
+      !saturated && groups <= kMaxCentralGroups &&
       (options_.memory_limit_bytes == 0 ||
-       local_bytes <= 0.25 * static_cast<double>(options_.memory_limit_bytes));
-
-  // Ties break toward central, the simpler table.
-  d.advised = admissible && d.central_cost <= d.radix_cost
-                  ? AggregateStrategy::kCentralMerge
-                  : AggregateStrategy::kRadixMerge;
+       static_cast<double>(d.threads) * table_bytes <=
+           0.25 * static_cast<double>(options_.memory_limit_bytes));
+  d.advised = fits ? AggregateStrategy::kCentralMerge
+                   : AggregateStrategy::kRadixMerge;
   d.forced = options_.strategy != AggregateStrategy::kAdaptive;
   d.strategy = d.forced ? options_.strategy : d.advised;
   // A saturated sample carries no evidence of duplicates, so the radix
   // plan's fixed tables would only pay for probes that miss.
   d.phase1_bypass = saturated && d.strategy == AggregateStrategy::kRadixMerge;
-
-  const double groups = in.estimated_groups;
-  // Room for the estimate plus one all-new chunk below the fill ratio, as
-  // phase-2 tables get: the probe round's grow check reserves a whole chunk,
-  // so a table without that room doubles on its first chunk.
-  const double chunk_headroom =
-      (groups + static_cast<double>(kVectorSize)) / options_.reset_fill_ratio +
-      1;
-  d.local_table_capacity = NextPowerOfTwo(static_cast<idx_t>(std::min(
-      std::max(chunk_headroom, 4.0 * groups), std::ldexp(1.0, 22))));
 
   // Direct-index fast path: worth it exactly where central lives (a small,
   // hot group set), and only when the single int64 key's sampled span fits

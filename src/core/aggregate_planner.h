@@ -1,9 +1,7 @@
 #ifndef SSAGG_CORE_AGGREGATE_PLANNER_H_
 #define SSAGG_CORE_AGGREGATE_PLANNER_H_
 
-#include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <optional>
 #include <string>
 
@@ -22,8 +20,8 @@ class MetricsRegistry;
 /// partitions join the exchange at Combine. The values are recorded in
 /// profiles and the ledger, so they do not move (2 is unused).
 enum class AggregateStrategy : uint8_t {
-  /// Sample the first chunks, estimate cardinality, pick one of the two
-  /// concrete strategies below with the cost models.
+  /// Sample the first chunks, estimate cardinality, and run central if its
+  /// thread tables fit, radix otherwise (DESIGN.md section 11).
   kAdaptive = 0,
   /// Each thread's phase-1 table is rebuilt once at a capacity sized from
   /// the estimate, so every group is materialized once per thread (an
@@ -75,97 +73,24 @@ class HllEstimator {
   uint8_t registers_[kRegisterCount] = {};
 };
 
-/// Cost-model constants, in nanoseconds per row/group/task. Calibrated on
-/// the container this repo is developed in (see DESIGN.md section 11 for
-/// the recalibration procedure against bench_probe and
-/// bench_strategy_adaptive); decisions only depend on ratios, so they
-/// survive hardware changes that scale all memory tiers together.
-struct AggregateCostModel {
-  /// Per-row probe+combine cost by probe-structure footprint tier.
-  double probe_l1_ns = 6.0;    // table fits in ~L1/L2 (<= 256 KiB)
-  double probe_l2_ns = 9.0;    // <= 4 MiB
-  double probe_dram_ns = 14.0;  // beyond LLC
-  /// Per-row cost of scanning materialized rows and merging them into a
-  /// resizable table (phase 2).
-  double merge_row_ns = 25.0;
-  /// Per-group cost of finalizing and emitting an output row.
-  double emit_row_ns = 15.0;
-  /// Fixed cost of scheduling one task.
-  double task_ns = 30000.0;
-  /// Fixed cost of standing up one resizable merge table.
-  double table_setup_ns = 20000.0;
-
-  /// Per-row probe cost as a function of footprint, interpolated linearly
-  /// in log2(bytes) between the anchors 256 KiB -> probe_l1_ns,
-  /// 4 MiB -> probe_l2_ns and 32 MiB -> probe_dram_ns (clamped outside).
-  /// The earlier step function had a cliff at exactly 4 MiB: a footprint of
-  /// 4.00 MiB (e.g. 100k sparse groups at 40-byte rows) still scored the
-  /// in-LLC rate while the real working set already spilled past it, so the
-  /// planner picked radix where central measured 2.4x faster (DESIGN.md
-  /// section 12's recalibration sweep).
-  [[nodiscard]] double ProbeNs(double footprint_bytes) const {
-    constexpr double kL1Log2 = 18.0;    // 256 KiB
-    constexpr double kLlcLog2 = 22.0;   // 4 MiB
-    constexpr double kDramLog2 = 25.0;  // 32 MiB
-    const double lg = std::log2(std::max(1.0, footprint_bytes));
-    if (lg <= kL1Log2) return probe_l1_ns;
-    if (lg >= kDramLog2) return probe_dram_ns;
-    if (lg <= kLlcLog2) {
-      const double t = (lg - kL1Log2) / (kLlcLog2 - kL1Log2);
-      return probe_l1_ns + t * (probe_l2_ns - probe_l1_ns);
-    }
-    const double t = (lg - kLlcLog2) / (kDramLog2 - kLlcLog2);
-    return probe_l2_ns + t * (probe_dram_ns - probe_l2_ns);
-  }
-};
-
-/// Everything the cost models see. Rows are totals across all threads.
-struct PlannerInputs {
-  idx_t threads = 1;
-  /// Total input rows (kInvalidIndex when the source cannot estimate).
-  idx_t total_rows = kInvalidIndex;
-  idx_t sampled_rows = 0;
-  /// Estimated distinct groups over the whole input.
-  double estimated_groups = 1;
-  /// sampled_rows / sample_distinct: rows per group within the sample.
-  double reduction_ratio = 1;
-  idx_t phase1_capacity = 0;
-  idx_t radix_partitions = 1;
-  idx_t row_width_bytes = 0;
-  idx_t memory_limit_bytes = 0;
-  double reset_fill_ratio = 2.0 / 3.0;
-};
-
-/// The two cost models the planner compares. Each returns estimated
-/// wall-clock seconds for phase 1 + merge + emit under that strategy.
-/// CentralMergeCost still prices the sequential merge of the thread tables
-/// that phase 2 ran before it became partition-wise for every plan; the
-/// constants are left as they are so that decisions do not move until the
-/// model is refitted (ROADMAP item 2).
-double CentralMergeCost(const PlannerInputs &in, const AggregateCostModel &m);
-double RadixMergeCost(const PlannerInputs &in, const AggregateCostModel &m);
-
 /// The chosen plan plus everything needed to explain it (QueryProfile /
 /// trace / stats all report from here).
 struct PlannerDecision {
-  /// What the query actually runs (forced override wins over the model).
+  /// What the query actually runs (forced override wins over the advice).
   AggregateStrategy strategy = AggregateStrategy::kRadixMerge;
-  /// What the cost model picked (== strategy unless forced).
+  /// What the fit rule picked (== strategy unless forced).
   AggregateStrategy advised = AggregateStrategy::kRadixMerge;
   bool forced = false;
   idx_t estimated_groups = 0;
   double reduction_ratio = 1;
   idx_t sampled_rows = 0;
-  /// Pipeline threads the cost models priced with: those that had called
-  /// InitLocal when the decision was made, which can be fewer than the
-  /// executor runs.
+  /// Pipeline threads whose central tables the memory gate counted: those
+  /// that had called InitLocal when the decision was made, which can be
+  /// fewer than the executor runs.
   idx_t threads = 0;
-  /// Cost-model outputs, in estimated seconds.
-  double central_cost = 0;
-  double radix_cost = 0;
   /// Entry-array capacity each thread's phase-1 table is rebuilt at under
-  /// the central plan. A table that still outgrows it resets at 2/3 fill
-  /// like any phase-1 table.
+  /// the central plan, and the one the memory gate prices. A table that
+  /// still outgrows it resets at 2/3 fill like any phase-1 table.
   idx_t local_table_capacity = 0;
   /// Perfect-hash fast path: the query groups by a single int64 key whose
   /// sampled value span fits kDirectIndexMaxRange, so central thread
@@ -194,9 +119,6 @@ class AggregatePlanner {
     EarlyAggMode early_agg = EarlyAggMode::kAuto;
     /// Rows observed (across all threads) before deciding.
     idx_t sample_rows = 32768;
-    idx_t phase1_capacity = kPhase1HashTableCapacity;
-    idx_t radix_partitions = 16;
-    double reset_fill_ratio = 2.0 / 3.0;
     idx_t row_width_bytes = 32;
     idx_t memory_limit_bytes = 0;
     /// Total input rows if the source knows (kInvalidIndex otherwise).
@@ -204,7 +126,6 @@ class AggregatePlanner {
     /// Whether the operator's layout admits the direct-index fast path (a
     /// single int64 group key) and the caller wants it considered.
     bool enable_direct_index = false;
-    AggregateCostModel cost_model;
   };
 
   /// Widest key span (pointer-cache slots) the direct-index fast path will
@@ -227,7 +148,8 @@ class AggregatePlanner {
     return !sampling_done_.load(std::memory_order_acquire);
   }
 
-  /// Accounts one registered pipeline thread (the cost models need T).
+  /// Accounts one registered pipeline thread (the memory gate counts one
+  /// central table per thread).
   void RegisterThread();
 
   /// Feeds one chunk's group hashes to the estimator; makes the decision

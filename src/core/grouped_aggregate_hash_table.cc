@@ -99,7 +99,6 @@ Status GroupedAggregateHashTable::FindOrCreateGroups(
     idx_t count) {
   SSAGG_DASSERT(start + count <= kVectorSize);
   uint64_t *table = entries();
-  const bool use_salt = config_.use_salt;
 
   // All slot indices and salts are computed up front, once.
   for (idx_t r = start; r < start + count; r++) {
@@ -118,7 +117,7 @@ Status GroupedAggregateHashTable::FindOrCreateGroups(
     // fixed-size (phase-1) table relies on the caller batching by
     // ResetBudget(), which the per-claim assert below re-checks.
     if (config_.resizable) {
-      while (count_ + remaining >= capacity_ * config_.reset_fill_ratio) {
+      while (count_ + remaining >= capacity_ * kHashTableResetFillRatio) {
         if (capacity_ >= (idx_t(1) << kMaxHashTableBits)) {
           if (count_ + remaining >= capacity_) {
             return Status::OutOfMemory(
@@ -173,7 +172,7 @@ Status GroupedAggregateHashTable::FindOrCreateGroups(
           new_group_sel_.Append(r);
           break;
         }
-        if (!use_salt || EntrySalt(entry) == salt) {
+        if (EntrySalt(entry) == salt) {
           compare_sel_.Append(r);
           break;
         }
@@ -291,13 +290,14 @@ Status GroupedAggregateHashTable::AddChunkDirect(const DataChunk &input,
   return Status::OK();
 }
 
-void GroupedAggregateHashTable::BackfillDirect(const DataChunk &input) {
+bool GroupedAggregateHashTable::BackfillDirect(const DataChunk &input) {
   const idx_t count = input.size();
   const Vector &key_vec = input.column(row_layout_.group_columns[0]);
   const auto *keys = key_vec.Values<int64_t>();
   const ValidityMask &validity = key_vec.validity();
   const uint64_t range = direct_range_;
   const auto min = static_cast<uint64_t>(direct_min_);
+  bool cached_new = false;
   for (idx_t r = 0; r < count; r++) {
     uint64_t idx = range;
     if (validity.RowIsValid(r)) {
@@ -306,8 +306,10 @@ void GroupedAggregateHashTable::BackfillDirect(const DataChunk &input) {
         continue;  // outside the cached window; stays on the generic path
       }
     }
+    cached_new |= direct_ptrs_[idx] == nullptr;
     direct_ptrs_[idx] = row_ptrs_[r];
   }
+  return cached_new;
 }
 
 Status GroupedAggregateHashTable::AddChunk(const DataChunk &input) {
@@ -323,12 +325,6 @@ Status GroupedAggregateHashTable::AddChunk(const DataChunk &input) {
       return Status::OK();
     }
     stats_.direct_fallback_chunks++;
-    // A workload that keeps missing (keys the sample never saw) pays one
-    // wasted cache-resolve pass per chunk; drop the cache once the misses
-    // are clearly not warmup.
-    if (++direct_fallback_streak_ > 64) {
-      DropDirect();
-    }
   }
   PrepareAppendChunk(input);
 
@@ -356,7 +352,15 @@ Status GroupedAggregateHashTable::AddChunk(const DataChunk &input) {
     done += batch;
   }
   if (direct_enabled_) {
-    BackfillDirect(input);
+    // A fallback that caches a new key is warmup. A stream that keeps
+    // missing without caching anything (its keys left the sampled span)
+    // pays one wasted cache-resolve pass per chunk, so the cache is dropped
+    // after 64 such chunks in a row.
+    if (BackfillDirect(input)) {
+      direct_fallback_streak_ = 0;
+    } else if (++direct_fallback_streak_ > 64) {
+      DropDirect();
+    }
   }
   return Status::OK();
 }
@@ -527,7 +531,7 @@ Status GroupedAggregateHashTable::Presize(idx_t capacity, int64_t direct_min,
                                           idx_t direct_range) {
   SSAGG_ASSERT(IsPowerOfTwo(capacity) &&
                capacity <= (idx_t(1) << kMaxHashTableBits));
-  if (count_ >= capacity * config_.reset_fill_ratio) {
+  if (count_ >= capacity * kHashTableResetFillRatio) {
     ClearPointerTable();
   }
   SSAGG_RETURN_NOT_OK(Rebuild(capacity));

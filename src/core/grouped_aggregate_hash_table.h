@@ -36,13 +36,10 @@ class GroupedAggregateHashTable {
     /// must not overlap the radix bits). Phase 1 uses a small fixed size.
     idx_t capacity = kPhase1HashTableCapacity;
     idx_t radix_bits = 4;
-    /// Phase 2 tables resize instead of resetting.
+    /// Phase 2 tables resize instead of resetting. Either kind acts at
+    /// kHashTableResetFillRatio: a phase-1 table reports NeedsReset, a
+    /// resizable one grows.
     bool resizable = false;
-    /// Ablation knob: disable the salt comparison (always follow pointers).
-    bool use_salt = true;
-    /// Fill ratio at which phase-1 tables report NeedsReset (and resizable
-    /// tables grow). The paper determined 2/3 experimentally.
-    double reset_fill_ratio = kHashTableResetFillRatio;
   };
 
   struct Stats {
@@ -123,7 +120,7 @@ class GroupedAggregateHashTable {
 
   /// Phase-1 check: the table must be reset once two-thirds full.
   bool NeedsReset() const {
-    return count_ >= capacity_ * config_.reset_fill_ratio;
+    return count_ >= capacity_ * kHashTableResetFillRatio;
   }
 
   /// Resets the pointer table: the 64-bit entry array is cleared while the
@@ -201,7 +198,7 @@ class GroupedAggregateHashTable {
   /// New groups a phase-1 (non-resizable) table can still take before
   /// reaching the reset threshold.
   idx_t ResetBudget() const {
-    auto threshold = static_cast<idx_t>(capacity_ * config_.reset_fill_ratio);
+    auto threshold = static_cast<idx_t>(capacity_ * kHashTableResetFillRatio);
     return threshold > count_ ? threshold - count_ : 0;
   }
 
@@ -210,8 +207,9 @@ class GroupedAggregateHashTable {
   /// (mutating nothing) on the first uncached or out-of-range key.
   Status AddChunkDirect(const DataChunk &input, bool *handled);
   /// After a generic-path chunk: caches the group-row pointer of every
-  /// in-range key the chunk resolved.
-  void BackfillDirect(const DataChunk &input);
+  /// in-range key the chunk resolved. Returns whether a key was not cached
+  /// before.
+  bool BackfillDirect(const DataChunk &input);
   /// Disarms the direct index and frees its cache.
   void DropDirect();
 
@@ -259,7 +257,8 @@ class GroupedAggregateHashTable {
 
   // Direct-index pointer cache (slot direct_range_ = NULL key), armed by
   // Presize; dropped for good on ClearPointerTable (the rows' pins are
-  // released with it) or after too many consecutive fallback chunks.
+  // released with it) or after too many consecutive fallback chunks that
+  // cached no new key.
   std::vector<data_ptr_t> direct_ptrs_;
   bool direct_enabled_ = false;
   int64_t direct_min_ = 0;

@@ -49,9 +49,6 @@ Result<std::unique_ptr<PhysicalHashAggregate>> PhysicalHashAggregate::Create(
   planner_options.strategy = config.strategy;
   planner_options.early_agg = config.early_aggregation;
   planner_options.sample_rows = config.planner_sample_rows;
-  planner_options.phase1_capacity = config.phase1_capacity;
-  planner_options.radix_partitions = idx_t{1} << config.radix_bits;
-  planner_options.reset_fill_ratio = config.reset_fill_ratio;
   planner_options.row_width_bytes = agg->row_layout_.layout.RowWidth();
   planner_options.memory_limit_bytes = buffer_manager.memory_limit();
   planner_options.total_rows = config.expected_input_rows;
@@ -93,8 +90,6 @@ Result<std::unique_ptr<LocalSinkState>> PhysicalHashAggregate::InitLocal() {
   ht_config.capacity = config_.phase1_capacity;
   ht_config.radix_bits = config_.radix_bits;
   ht_config.resizable = false;
-  ht_config.use_salt = config_.use_salt;
-  ht_config.reset_fill_ratio = config_.reset_fill_ratio;
   SSAGG_ASSIGN_OR_RETURN(state->ht, GroupedAggregateHashTable::Create(
                                         buffer_manager_, row_layout_,
                                         ht_config));
@@ -166,7 +161,7 @@ idx_t PhysicalHashAggregate::PartitionTableCapacity(idx_t rows,
   // A resizable table grows when the groups plus an all-new chunk would
   // reach the fill ratio; room for both means it never does.
   const auto needed = static_cast<idx_t>(
-      (groups + static_cast<double>(kVectorSize)) / config_.reset_fill_ratio);
+      (groups + static_cast<double>(kVectorSize)) / kHashTableResetFillRatio);
   const idx_t budget = buffer_manager_.memory_limit() /
                        kPartitionTableLimitDivisor /
                        std::max<idx_t>(1, threads) / sizeof(uint64_t);
@@ -235,8 +230,6 @@ Status PhysicalHashAggregate::EarlyCompactLocal(LocalState &local) {
         part.Count(), sink_threads_.load(std::memory_order_relaxed));
     ht_config.radix_bits = 0;
     ht_config.resizable = true;
-    ht_config.use_salt = config_.use_salt;
-    ht_config.reset_fill_ratio = config_.reset_fill_ratio;
     SSAGG_ASSIGN_OR_RETURN(
         auto compactor, GroupedAggregateHashTable::Create(
                             buffer_manager_, row_layout_, ht_config));
@@ -315,8 +308,6 @@ Status PhysicalHashAggregate::AggregatePartition(PartitionedTupleData &data,
   ht_config.capacity = PartitionTableCapacity(rows, executor.num_threads());
   ht_config.radix_bits = 0;  // a phase-2 table is not repartitioned
   ht_config.resizable = true;
-  ht_config.use_salt = config_.use_salt;
-  ht_config.reset_fill_ratio = config_.reset_fill_ratio;
   SSAGG_ASSIGN_OR_RETURN(
       auto ht, GroupedAggregateHashTable::Create(buffer_manager_, row_layout_,
                                                  ht_config));

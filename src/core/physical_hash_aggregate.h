@@ -24,12 +24,11 @@ struct HashAggregateConfig {
   /// over-partitions so one fully aggregated partition per thread fits in
   /// memory during phase 2.
   idx_t radix_bits = 4;
-  bool use_salt = true;
-  double reset_fill_ratio = kHashTableResetFillRatio;
   /// Which phase-1 table the threads aggregate into (DESIGN.md section 11).
-  /// kAdaptive samples the first chunks and picks with the cost models; the
-  /// concrete values force a strategy (tests/ablation; also forced by the
-  /// SSAGG_AGG_STRATEGY environment variable, which overrides this field).
+  /// kAdaptive samples the first chunks and runs central when its thread
+  /// tables fit, radix otherwise; the concrete values force a strategy
+  /// (tests/ablation; also forced by the SSAGG_AGG_STRATEGY environment
+  /// variable, which overrides this field).
   AggregateStrategy strategy = AggregateStrategy::kAdaptive;
   /// Rows (across all threads) the planner samples before deciding.
   idx_t planner_sample_rows = 32768;
@@ -77,7 +76,8 @@ struct HashAggregateStats {
 ///
 ///   Phase 0 (Sampling): the first planner_sample_rows rows flow through
 ///   the classic fixed-size thread tables while their group hashes feed a
-///   cardinality estimator; cost models then commit to a phase-1 table.
+///   cardinality estimator; the planner then runs central if its tables
+///   fit the memory limit, radix otherwise.
 ///
 ///   Phase 1 (Thread-Local Pre-Aggregation): under the radix strategy each
 ///   worker aggregates morsels into its own small fixed-size salted hash

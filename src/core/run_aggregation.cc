@@ -50,8 +50,6 @@ void AddAggregateStats(const HashAggregateStats &stats,
                        stats.planner.phase1_bypass ? 1 : 0);
     profile.AddCounter("agg.direct_hit_rows", stats.ht.direct_hit_rows);
     profile.AddTiming("agg.sampling_seconds", stats.sampling_seconds);
-    profile.AddTiming("agg.cost_central", stats.planner.central_cost);
-    profile.AddTiming("agg.cost_radix", stats.planner.radix_cost);
   }
 }
 

@@ -66,7 +66,8 @@ PlannerDecision Decide(AggregateStrategy strategy, idx_t rows, idx_t keys) {
 
 TEST_F(Phase1BypassTest, OnlyASaturatedRadixSampleBypasses) {
   constexpr idx_t kSample = 8192;
-  // A unique sample: the cost models pick radix, and nothing to look up.
+  // A unique sample: its estimate is not trusted, so the plan is radix,
+  // and there is nothing to look up.
   PlannerDecision unique =
       Decide(AggregateStrategy::kAdaptive, kSample, kSample);
   EXPECT_EQ(unique.strategy, AggregateStrategy::kRadixMerge);
@@ -79,6 +80,68 @@ TEST_F(Phase1BypassTest, OnlyASaturatedRadixSampleBypasses) {
   // Central thread tables always look up.
   EXPECT_FALSE(Decide(AggregateStrategy::kCentralMerge, kSample, kSample)
                    .phase1_bypass);
+}
+
+/// Decides on a 32,768-row sample of keys drawn uniformly from `groups`
+/// groups, out of 2^22 input rows of 32-byte rows, with `threads` threads
+/// registered.
+PlannerDecision DecideUniform(idx_t groups, idx_t threads,
+                              idx_t memory_limit) {
+  constexpr idx_t kSample = 32768;
+  AggregatePlanner::Options options;
+  options.sample_rows = kSample;
+  options.total_rows = idx_t{1} << 22;
+  options.row_width_bytes = 32;
+  options.memory_limit_bytes = memory_limit;
+  AggregatePlanner planner(options, MetricsRegistry::Global());
+  for (idx_t t = 0; t < threads; t++) {
+    planner.RegisterThread();
+  }
+  std::vector<hash_t> hashes(kSample);
+  for (idx_t i = 0; i < kSample; i++) {
+    hashes[i] = HashUint64(HashUint64(i) % groups);
+  }
+  planner.Observe(hashes.data(), kSample);
+  EXPECT_TRUE(planner.decided());
+  return planner.decision();
+}
+
+TEST_F(Phase1BypassTest, CentralExactlyWhenItsTablesFit) {
+  constexpr idx_t kLimit = idx_t{1} << 30;
+  for (idx_t threads : {idx_t{1}, idx_t{2}, idx_t{4}}) {
+    for (idx_t groups : {1000, 2000, 3000, 5000, 8000, 10000, 15000, 20000,
+                         30000, 40000, 50000, 60000, 80000, 100000}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " groups=" + std::to_string(groups));
+      // The sample is not saturated and the tables fit in a quarter of the
+      // limit, so the plan is central, whatever the thread count.
+      PlannerDecision fits = DecideUniform(groups, threads, kLimit);
+      EXPECT_EQ(fits.advised, AggregateStrategy::kCentralMerge)
+          << "estimated " << fits.estimated_groups;
+      EXPECT_EQ(fits.threads, threads);
+      EXPECT_FALSE(fits.phase1_bypass);
+      // The gate prices the table Presize allocates: the entry array plus
+      // one row per estimated group. The decision rounds the estimate
+      // down, so the gate's price lies less than one row above this.
+      const idx_t footprint =
+          fits.local_table_capacity * sizeof(uint64_t) +
+          fits.estimated_groups * 32;
+      PlannerDecision tight =
+          DecideUniform(groups, threads, 4 * threads * footprint - 4);
+      EXPECT_EQ(tight.estimated_groups, fits.estimated_groups);
+      EXPECT_EQ(tight.advised, AggregateStrategy::kRadixMerge);
+      EXPECT_FALSE(tight.phase1_bypass);
+      EXPECT_EQ(
+          DecideUniform(groups, threads, 4 * threads * (footprint + 32))
+              .advised,
+          AggregateStrategy::kCentralMerge);
+    }
+  }
+  // A saturated sample: the estimate is not trusted, and the radix plan
+  // skips the lookups.
+  PlannerDecision unique = DecideUniform(idx_t{1} << 30, 1, kLimit);
+  EXPECT_EQ(unique.advised, AggregateStrategy::kRadixMerge);
+  EXPECT_TRUE(unique.phase1_bypass);
 }
 
 //===----------------------------------------------------------------------===//

@@ -242,7 +242,8 @@ TEST_F(StrategyEquivalenceTest, AllStrategiesAgreeOnAllPipelines) {
 }
 
 TEST_F(StrategyEquivalenceTest, AdaptivePicksCentralForMidCardinality) {
-  // ~5k groups with ample memory: central merge should win the cost race.
+  // ~5k groups with ample memory: the central tables fit, so the planner
+  // picks them.
   RunOutput run = Run(AggregateStrategy::kAdaptive, /*memory_pages=*/2048);
   ASSERT_TRUE(run.stats.planner_decided);
   EXPECT_FALSE(run.stats.planner.forced);
@@ -373,6 +374,55 @@ TEST_F(StrategyEquivalenceTest, DirectIndexStaysExactWithUnsampledKeys) {
   EXPECT_GT(adaptive.stats.ht.direct_hit_rows, 0u);
   // The out-of-range spikes force generic-path chunks.
   EXPECT_GT(adaptive.stats.ht.direct_fallback_chunks, 0u);
+}
+
+TEST_F(StrategyEquivalenceTest, DirectIndexWarmsUpOverAWideDenseSpan) {
+  // 30,000 dense keys drawn uniformly: the sample spans nearly all of them,
+  // so the central tables arm the direct index, but a 2,048-row chunk
+  // keeps meeting a key not cached yet for about 150 chunks after the
+  // decision. Each such fallback caches new keys, so it is warmup: the
+  // index must survive it and serve the rest of the input.
+  constexpr idx_t kTotal = idx_t{1} << 20;
+  constexpr idx_t kGroups = 30000;
+  auto key_of = [](idx_t row) {
+    return static_cast<int64_t>(HashUint64(row) % kGroups);
+  };
+  std::map<int64_t, std::pair<int64_t, int64_t>> reference;  // sum, count
+  for (idx_t row = 0; row < kTotal; row++) {
+    auto &slot = reference[key_of(row)];
+    slot.first += static_cast<int64_t>(row % 1000);
+    slot.second++;
+  }
+  BufferManager bm(temp_dir_, 2048 * kPageSize);
+  // One thread: the sample is the input's prefix.
+  TaskExecutor executor(1);
+  RangeSource source(
+      {LogicalTypeId::kInt64, LogicalTypeId::kInt64}, kTotal,
+      [&](DataChunk &chunk, idx_t start, idx_t count) {
+        for (idx_t i = 0; i < count; i++) {
+          chunk.column(0).SetValue<int64_t>(i, key_of(start + i));
+          chunk.column(1).SetValue<int64_t>(
+              i, static_cast<int64_t>((start + i) % 1000));
+        }
+        return Status::OK();
+      });
+  MaterializedCollector collector;
+  HashAggregateConfig config;
+  config.strategy = AggregateStrategy::kCentralMerge;
+  auto stats = RunGroupedAggregation(
+      bm, source, {0},
+      {{AggregateKind::kSum, 1}, {AggregateKind::kCountStar, kInvalidIndex}},
+      collector, executor, config);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  const HashAggregateStats &s = stats.value();
+  ASSERT_TRUE(s.planner.direct_index);
+  EXPECT_GT(s.ht.direct_fallback_chunks, 64u);
+  EXPECT_GT(s.ht.direct_hit_rows, 0u);
+  std::map<int64_t, std::pair<int64_t, int64_t>> result;
+  for (const auto &row : collector.rows()) {
+    result[row[0].GetInt64()] = {row[1].GetInt64(), row[2].GetInt64()};
+  }
+  EXPECT_EQ(result, reference);
 }
 
 TEST_F(StrategyEquivalenceTest, DirectIndexStaysExactAcrossMidChunkResets) {
